@@ -11,6 +11,7 @@ preference-to-weight normalization.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -73,6 +74,9 @@ class ChargingOption:
     station: StationMeta | None = None
 
     def __post_init__(self):
+        fields = (self.walk_time, self.rate, self.max_gain)
+        if not all(math.isfinite(x) for x in fields):
+            raise ValueError(f"charging option fields must be finite, got {fields}")
         if self.walk_time < 0 or self.rate < 0 or self.max_gain < 0:
             raise ValueError("charging option fields must be non-negative")
 
@@ -95,6 +99,10 @@ class EventNode:
     charging: ChargingOption | None = None
 
     def __post_init__(self):
+        for name in ("a_min", "a_max", "duration", "fixed_arrival"):
+            x = getattr(self, name)
+            if x is not None and not math.isfinite(x):
+                raise ValueError(f"node {self.id}: {name} must be finite, got {x}")
         if self.duration < 0:
             raise ValueError(f"node {self.id}: negative duration")
         if self.a_min + self.duration > self.a_max:
@@ -208,8 +216,28 @@ class Instance:
         return tuple(tuple(row) for row in self.travel.tolist())
 
     @cached_property
-    def separator_rank(self) -> dict[int, int]:
-        return {u: i for i, u in enumerate(self.separators)}
+    def walk(self) -> tuple[float, ...]:
+        """One-way walk to each node's charger in minutes, 0 without one."""
+        return tuple(0.0 if nd.charging is None else nd.charging.walk_time for nd in self.nodes)
+
+    @cached_property
+    def anchor_rank(self) -> dict[int, int]:
+        """Fixed events and separators, in their required visit order, mapped
+        to their rank: chronological by pinned arrival or latest departure,
+        ties by id."""
+        anchored = sorted(
+            (nd for nd in self.nodes[1:-1] if nd.kind in (NodeKind.FIXED, NodeKind.SEPARATOR)),
+            key=lambda nd: (nd.fixed_arrival if nd.kind is NodeKind.FIXED else nd.a_max, nd.id),
+        )
+        return {nd.id: r for r, nd in enumerate(anchored)}
+
+    @cached_property
+    def day_ref(self) -> dict[int, float | None]:
+        """Separators in day order, mapped to the time their day is measured
+        from: the latest departure of the previous separator, or None for the
+        first day, which is measured from the route start."""
+        refs = [None, *(self.nodes[u].a_max for u in self.separators[:-1])]
+        return dict(zip(self.separators, refs))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
@@ -277,12 +305,25 @@ def separator_ref(u: int, s: Schedule, inst: Instance) -> float:
     The first separator is measured against the route start time, every
     later one against the latest departure of the preceding separator.
     """
-    rank = inst.separator_rank.get(u)
-    if rank is None:
+    if u not in inst.day_ref:
         raise ValueError(f"node {u} is not a separator")
-    if rank == 0:
-        return s.arrival[0]
-    return inst.nodes[inst.separators[rank - 1]].a_max
+    ref = inst.day_ref[u]
+    return s.arrival[0] if ref is None else ref
+
+
+def _route_sums(order: Sequence[int], arrival: Sequence[float], inst: Instance) -> tuple[float, float]:
+    """Route distance and summed day lengths: the objective's first two summands."""
+    dist = inst.dist_rows
+    total_d = 0.0
+    prev = order[0]
+    for u in order[1:]:
+        total_d += dist[prev][u]
+        prev = u
+    a0 = arrival[0]
+    days = 0.0
+    for u, ref in inst.day_ref.items():
+        days += arrival[u] - (a0 if ref is None else ref)
+    return total_d, days
 
 
 def objective_value(
@@ -295,17 +336,7 @@ def objective_value(
 ) -> float:
     """Objective over raw solution vectors; see :func:`evaluate_objective`."""
     w = inst.weights if weights is None else weights
-    dist = inst.dist_rows
-    total_d = 0.0
-    prev = order[0]
-    for u in order[1:]:
-        total_d += dist[prev][u]
-        prev = u
-    sep_total = 0.0
-    a0 = arrival[0]
-    for i, u in enumerate(inst.separators):
-        ref = a0 if i == 0 else inst.nodes[inst.separators[i - 1]].a_max
-        sep_total += arrival[u] - ref
+    total_d, sep_total = _route_sums(order, arrival, inst)
     stops = 0
     last = inst.n - 1
     for u in range(last):
@@ -316,7 +347,7 @@ def objective_value(
         + w.wt * sep_total
         - w.wc * ranges[last]
         + inst.epsilon * stops
-        + inst.epsilon * a0
+        + inst.epsilon * arrival[0]
     )
 
 
@@ -328,21 +359,19 @@ def evaluate_objective(s: Schedule, inst: Instance, weights: Weights | None = No
     return objective_value(s.order, s.arrival, s.charge, s.ranges, inst, weights)
 
 
-def _walk(node: EventNode, flag: int) -> float:
-    if flag and node.charging is not None and node.kind is not NodeKind.END:
-        return node.charging.walk_time
-    return 0.0
-
-
 def validate(s: Schedule, inst: Instance) -> list[Violation]:
     """Check every model constraint and report all violations found.
 
     Returns an empty list exactly when the schedule is feasible.  Checks are
     exhaustive rather than first-found so fuzz failures stay diagnosable.
+    Every check is written as ``not <holds>``, so a NaN in the schedule or
+    the instance fails it instead of passing silently; non-finite schedule
+    entries and used edges are also reported as domain violations.
     """
     out: list[Violation] = []
     n = inst.n
     nodes = inst.nodes
+    walk = inst.walk
 
     def bad(cid: ConstraintId, loc: str, detail: str, mag: float):
         out.append(Violation(cid, loc, detail, mag))
@@ -379,71 +408,76 @@ def validate(s: Schedule, inst: Instance) -> list[Violation]:
     for u, node in enumerate(nodes):
         a_u = s.arrival[u]
         r_u = s.charge[u]
-        w_u = _walk(node, r_u)
-        if a_u < -TIME_TOL:
+        w_u = walk[u] if r_u else 0.0
+        for what, x in (("arrival", a_u), ("charge gain", s.gain[u]), ("range", s.ranges[u])):
+            if not math.isfinite(x):
+                bad(ConstraintId.DOMAIN, f"node {u}", f"non-finite {what} {x}", math.inf)
+        if not a_u >= -TIME_TOL:
             bad(ConstraintId.DOMAIN, f"node {u}", f"negative arrival {a_u:.6f}", -a_u)
-        if s.gain[u] < -RANGE_TOL:
+        if not s.gain[u] >= -RANGE_TOL:
             bad(ConstraintId.DOMAIN, f"node {u}", f"negative charge gain {s.gain[u]:.6f}", -s.gain[u])
         if r_u not in (0, 1):
             bad(ConstraintId.DOMAIN, f"node {u}", f"charge flag {r_u} outside 0/1", 1.0)
         elif r_u == 1 and node.charging is None:
             bad(ConstraintId.DOMAIN, f"node {u}", "charging flagged without a charging option", 1.0)
         if u == n - 1:
-            if r_u or s.gain[u] > RANGE_TOL:
+            if r_u or not s.gain[u] <= RANGE_TOL:
                 bad(ConstraintId.END_NODE_CHARGE, f"node {u}", "charging at the end node", max(1.0, s.gain[u]))
         else:
             cap = r_u * (node.charging.max_gain if node.charging else 0.0)
-            if s.gain[u] > cap + RANGE_TOL:
+            if not s.gain[u] <= cap + RANGE_TOL:
                 bad(ConstraintId.GAIN_CAP, f"node {u}", f"gain {s.gain[u]:.6f} exceeds cap {cap:.6f}", s.gain[u] - cap)
-            if s.ranges[u] + s.gain[u] > inst.k_max + RANGE_TOL:
+            if not s.ranges[u] + s.gain[u] <= inst.k_max + RANGE_TOL:
                 over = s.ranges[u] + s.gain[u] - inst.k_max
                 bad(ConstraintId.MAX_RANGE, f"node {u}", f"charged range exceeds capacity by {over:.6f}", over)
-        if s.ranges[u] < inst.k_min - RANGE_TOL:
+        if not s.ranges[u] >= inst.k_min - RANGE_TOL:
             bad(ConstraintId.MIN_RANGE, f"node {u}", f"range {s.ranges[u]:.6f} below reserve {inst.k_min:.6f}", inst.k_min - s.ranges[u])
 
         if node.kind is NodeKind.FIXED:
             pinned = node.fixed_arrival - r_u * w_u
             dev = abs(a_u - pinned)
-            if dev > TIME_TOL:
+            if not dev <= TIME_TOL:
                 bad(ConstraintId.FIXED_ARRIVAL, f"node {u}", f"arrival {a_u:.6f} != pinned {pinned:.6f}", dev)
         if node.kind is NodeKind.SEPARATOR:
             lo = separator_ref(u, s, inst) + r_u * w_u
             hi = node.a_max - node.duration - r_u * w_u
-            if a_u < lo - TIME_TOL:
+            if not a_u >= lo - TIME_TOL:
                 bad(ConstraintId.SEPARATOR_WINDOW, f"node {u}", f"arrival {a_u:.6f} before day reference {lo:.6f}", lo - a_u)
-            if a_u > hi + TIME_TOL:
+            if not a_u <= hi + TIME_TOL:
                 bad(ConstraintId.SEPARATOR_WINDOW, f"node {u}", f"arrival {a_u:.6f} after latest {hi:.6f}", a_u - hi)
         else:
             lo = node.a_min - r_u * w_u
             hi = node.a_max - node.duration - r_u * w_u
-            if a_u < lo - TIME_TOL:
+            if not a_u >= lo - TIME_TOL:
                 bad(ConstraintId.WINDOW, f"node {u}", f"arrival {a_u:.6f} before earliest {lo:.6f}", lo - a_u)
-            if a_u > hi + TIME_TOL:
+            if not a_u <= hi + TIME_TOL:
                 bad(ConstraintId.WINDOW, f"node {u}", f"arrival {a_u:.6f} after latest {hi:.6f}", a_u - hi)
 
     # Per-edge checks along the derived edges.
     travel = inst.travel_rows
     dist = inst.dist_rows
     if len(order) > 0 and order[0] == 0 and counts[0] == 1:
-        if abs(s.ranges[0] - inst.k_start) > RANGE_TOL:
+        if not abs(s.ranges[0] - inst.k_start) <= RANGE_TOL:
             bad(ConstraintId.RANGE_CHAIN, "node 0", f"start range {s.ranges[0]:.6f} != {inst.k_start:.6f}", abs(s.ranges[0] - inst.k_start))
     for i in range(len(order) - 1):
         u, v = order[i], order[i + 1]
         if u == v or not (0 <= u < n and 0 <= v < n):
             continue
-        nu, nv = nodes[u], nodes[v]
-        w_u = _walk(nu, s.charge[u])
-        w_v = _walk(nv, s.charge[v])
+        if not (math.isfinite(dist[u][v]) and math.isfinite(travel[u][v])):
+            bad(ConstraintId.DOMAIN, f"edge {u}->{v}", f"non-finite distance {dist[u][v]} or travel time {travel[u][v]}", math.inf)
+        nu = nodes[u]
+        w_u = walk[u] if s.charge[u] else 0.0
+        w_v = walk[v] if s.charge[v] else 0.0
         if nu.kind is NodeKind.SEPARATOR:
             dep = nu.a_max + w_u
         else:
             dep = s.arrival[u] + nu.duration + 2.0 * w_u
         lhs = dep + travel[u][v] + w_v
-        if lhs > s.arrival[v] + TIME_TOL:
+        if not lhs <= s.arrival[v] + TIME_TOL:
             bad(ConstraintId.TIME_CHAIN, f"edge {u}->{v}", f"departure+travel {lhs:.6f} after arrival {s.arrival[v]:.6f}", lhs - s.arrival[v])
         expect = s.ranges[u] + s.gain[u] - dist[u][v]
         dev = abs(s.ranges[v] - expect)
-        if dev > RANGE_TOL:
+        if not dev <= RANGE_TOL:
             bad(ConstraintId.RANGE_CHAIN, f"edge {u}->{v}", f"range {s.ranges[v]:.6f} != propagated {expect:.6f}", dev)
     return out
 
@@ -478,15 +512,7 @@ def normalize_weights(inst: Instance, prefs: Sequence[float]) -> Weights:
 
     dist = inst.dist_rows
     travel = inst.travel_rows
-    upper_d = 0.0
-    prev = initial.order[0]
-    for u in initial.order[1:]:
-        upper_d += dist[prev][u]
-        prev = u
-    upper_t = 0.0
-    for i, u in enumerate(inst.separators):
-        ref = initial.arrival[0] if i == 0 else inst.nodes[inst.separators[i - 1]].a_max
-        upper_t += initial.arrival[u] - ref
+    upper_d, upper_t = _route_sums(initial.order, initial.arrival, inst)
     # Only nodes with an outgoing edge contribute to the lower estimates.
     idx = range(inst.n)
     lower_d = sum(min(dist[u][v] for v in idx if v != u) for u in range(inst.n - 1))

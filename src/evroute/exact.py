@@ -12,17 +12,18 @@ import enum
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
     Instance,
     NodeKind,
     Schedule,
-    TIME_TOL,
     Weights,
     objective_value,
 )
 from .errors import InstanceTooLargeError, NoInitialSolutionError
 from .schedule import (
+    _time_step,
     anchored_sequence,
     assemble_schedule,
     bfd_initial,
@@ -86,11 +87,10 @@ def _interleavings(anchored, flexible, n):
 
 
 def _best_charging(order, inst, weights, chargeable):
-    """Best objective over all charge-flag subsets for a fixed order.
+    """Best schedule over all charge-flag subsets for a fixed order, or None.
 
     Gains are always charged to the cap: extra charge costs no time in this
-    model, so it can only help the end-of-route term.  Returns the best
-    (objective, schedule) or None.
+    model, so it can only help the end-of-route term.
     """
     n = inst.n
     best = None
@@ -113,8 +113,8 @@ def _best_charging(order, inst, weights, chargeable):
             continue
         obj = objective_value(order, timed.arrival, charge, ranges, inst, weights)
         key = tuple(charge)
-        if best is None or obj < best[0] or (obj == best[0] and key < best_key):
-            best = (obj, Schedule(tuple(order), timed.arrival, tuple(charge), gains, ranges, obj))
+        if best is None or obj < best.objective or (obj == best.objective and key < best_key):
+            best = Schedule(tuple(order), timed.arrival, key, gains, ranges, obj)
             best_key = key
     return best
 
@@ -141,12 +141,13 @@ def oracle(inst: Instance, weights: Weights | None = None) -> Schedule | None:
     for order in _interleavings(anchored, flexible, n):
         if not propagate_times(order, zeros, inst).feasible_times:
             continue
-        found = _best_charging(order, inst, w, chargeable)
-        if found is None:
+        sched = _best_charging(order, inst, w, chargeable)
+        if sched is None:
             continue
-        obj, sched = found
         key = (order, sched.charge)
-        if best is None or obj < best.objective or (obj == best.objective and key < best_key):
+        if best is None or sched.objective < best.objective or (
+            sched.objective == best.objective and key < best_key
+        ):
             best = sched
             best_key = key
     return best
@@ -157,35 +158,32 @@ class _Timeout(Exception):
 
 
 class _Search:
-    """Shared depth-first state for the full and completion searches."""
+    """Depth-first branch-and-bound over the completions of a partial order.
 
-    def __init__(self, inst: Instance, weights: Weights, deadline: float | None):
+    Complete orders are priced by ``price(order, inst, weights)``, which
+    returns a schedule or None.
+    Subtrees are cut on anchored-order violations, on earliest-time
+    infeasibility of the partial order and on an optimistic objective bound
+    against the incumbent.
+    """
+
+    def __init__(self, inst: Instance, weights: Weights, deadline: float | None, price):
         self.inst = inst
         self.w = weights
         self.deadline = deadline
-        self.nodes = inst.nodes
-        self.n = inst.n
-        self.dist = inst.dist_rows
-        self.travel = inst.travel_rows
-        self.min_out = [
-            min(self.dist[u][v] for v in range(self.n) if v != u) for u in range(self.n)
-        ]
-        self.anchored = list(anchored_sequence(inst))
-        self.rank = {u: i for i, u in enumerate(self.anchored)}
-        self.chargeable = _chargeable(inst)
-        self.leaf_enum = len(self.chargeable) <= LEAF_ENUM_MAX_CHARGEABLE
-        self.used_heuristic_leaf = False
-        start = self.nodes[0]
-        walk0 = start.charging.walk_time if start.charging is not None else 0.0
+        self.price = price
+        dist = inst.dist_rows
+        n = inst.n
+        self.min_out = [min(dist[u][v] for v in range(n) if v != u) for u in range(n)]
         # Smallest start time over both charging choices at the start node.
-        self.a0_floor = max(0.0, start.a_min - walk0)
-        self.a0_nocharge = max(0.0, start.a_min)
+        self.a0_floor = max(0.0, inst.nodes[0].a_min - inst.walk[0])
         self.best: Schedule | None = None
         self.best_obj = math.inf
         self.explored = 0
+        self.leaves = 0
         self.incumbents: list[tuple[int, float]] = []
 
-    def seed(self, schedule: Schedule | None):
+    def offer(self, schedule: Schedule | None):
         if schedule is not None and schedule.objective < self.best_obj:
             self.best = schedule
             self.best_obj = schedule.objective
@@ -197,40 +195,6 @@ class _Search:
             if time.monotonic() > self.deadline:
                 raise _Timeout
 
-    def step_time(self, prev: int, a_prev: float, v: int) -> float | None:
-        """Earliest arrival at v assuming no charging anywhere, or None.
-
-        Charging only tightens the timetable (walks extend departures and
-        separator lower bounds, and shift fixed pins and window tops down),
-        so infeasibility here rules out every charge assignment.
-        """
-        pn = self.nodes[prev]
-        if pn.kind is NodeKind.SEPARATOR:
-            lb = pn.a_max + self.travel[prev][v]
-        else:
-            lb = a_prev + pn.duration + self.travel[prev][v]
-        node = self.nodes[v]
-        if node.kind is NodeKind.FIXED:
-            a_v = node.fixed_arrival
-            if lb > a_v + TIME_TOL:
-                return None
-        elif node.kind is NodeKind.SEPARATOR:
-            r = self.inst.separator_rank[v]
-            ref = self.a0_nocharge if r == 0 else self.nodes[self.inst.separators[r - 1]].a_max
-            a_v = max(lb, ref)
-        else:
-            a_v = max(lb, node.a_min)
-        if a_v > node.a_max - node.duration + TIME_TOL:
-            return None
-        return a_v
-
-    def sep_delta(self, v: int, a_v: float) -> float:
-        if self.nodes[v].kind is not NodeKind.SEPARATOR:
-            return 0.0
-        r = self.inst.separator_rank[v]
-        ref = self.a0_nocharge if r == 0 else self.nodes[self.inst.separators[r - 1]].a_max
-        return a_v - ref
-
     def bound(self, dist_lb: float, sep_sum: float) -> float:
         """Optimistic objective: exact distance plus a shortest-exit floor,
         day delays seen so far, full battery at the end, zero extra stops."""
@@ -241,18 +205,76 @@ class _Search:
             + self.inst.epsilon * self.a0_floor
         )
 
-    def leaf(self, order: list[int]):
-        self.tick()
-        if self.leaf_enum:
-            found = _best_charging(order, self.inst, self.w, self.chargeable)
-            sched = None if found is None else found[1]
-        else:
-            self.used_heuristic_leaf = True
-            sched = assemble_schedule(order, self.inst, self.w)
-        if sched is not None and sched.objective < self.best_obj:
-            self.best = sched
-            self.best_obj = sched.objective
-            self.incumbents.append((self.explored, self.best_obj))
+    def run(self, base, removed, prune: bool = True) -> bool:
+        """Search every order that keeps ``base`` as a subsequence and places
+        each ``removed`` node before the end node.  Returns False when the
+        deadline cut the search short.  ``prune=False`` disables all cuts.
+
+        Arrivals are propagated without charging: charging only tightens the
+        timetable (walks extend departures and separator lower bounds, and
+        shift fixed pins and window tops down), so infeasibility here rules
+        out every charge assignment.  Anchors are placed in rank order, so
+        the count placed so far is the rank of the next one allowed.
+        """
+        inst = self.inst
+        n = inst.n
+        dist = inst.dist_rows
+        rank = inst.anchor_rank
+        day_ref = inst.day_ref
+        min_out = self.min_out
+        a0 = max(0.0, inst.nodes[0].a_min)
+        removed = sorted(removed)
+        placed_removed = [False] * n
+        path = [0]
+
+        def dfs(bi, last, a_last, dist_so_far, sep_sum, anchors, remaining_min):
+            # remaining_min = min_out[last] + sum of min_out over unplaced nodes
+            self.tick()
+            if bi == len(base):
+                self.leaves += 1
+                self.offer(self.price(path, inst, self.w))
+                return
+            remaining_after = remaining_min - min_out[last]
+            nxt = base[bi]
+            cands = [u for u in removed if not placed_removed[u]]
+            if nxt != n - 1 or not cands:
+                cands.insert(0, nxt)
+            for v in cands:
+                r = rank.get(v)
+                if prune and r is not None and r != anchors:
+                    continue
+                a_v = _time_step(inst, last, a_last, 0.0, v, 0.0, a0)
+                if a_v is None:
+                    if prune:
+                        continue
+                    a_v = a_last  # bound-only placeholder; leaves re-propagate
+                dist_v = dist_so_far + dist[last][v]
+                sep_v = sep_sum
+                if v in day_ref:
+                    ref = day_ref[v]
+                    sep_v = sep_sum + (a_v - (a0 if ref is None else ref))
+                if prune and self.bound(dist_v + remaining_after, sep_v) >= self.best_obj - _BOUND_TOL:
+                    continue
+                path.append(v)
+                anchors_v = anchors if r is None else anchors + 1
+                if v == nxt:
+                    dfs(bi + 1, v, a_v, dist_v, sep_v, anchors_v, remaining_after)
+                else:
+                    placed_removed[v] = True
+                    dfs(bi, v, a_v, dist_v, sep_v, anchors_v, remaining_after)
+                    placed_removed[v] = False
+                path.pop()
+
+        remaining0 = (
+            sum(min_out[u] for u in base[1:-1])
+            + sum(min_out[u] for u in removed)
+            + min_out[0]
+        )
+        try:
+            dfs(1, 0, a0, 0.0, 0.0, 0, remaining0)
+        except _Timeout:
+            return False
+        return True
 
 
 def solve_exact(
@@ -263,87 +285,38 @@ def solve_exact(
 ) -> ExactResult:
     """Depth-first branch-and-bound over visit orders.
 
-    Branches append one node at a time; subtrees are cut on anchored-order
-    violations, earliest-time infeasibility of the partial order, and an
-    optimistic objective bound against the incumbent (seeded from the
-    best-fit-decreasing construction).  Charging is resolved per complete
-    order: exactly, by subset enumeration, while the chargeable node count
-    stays within :data:`LEAF_ENUM_MAX_CHARGEABLE`, otherwise by the greedy
-    planner, in which case an exhausted tree reports ``heuristicLeaf``
-    instead of ``optimal``.  ``prune=False`` disables all three cuts
-    (soundness testing only).
+    The search completes the order start -> end with every interior node;
+    subtrees are cut on anchored-order violations, earliest-time
+    infeasibility of the partial order, and an optimistic objective bound
+    against the incumbent (seeded from the best-fit-decreasing
+    construction).  Charging is resolved per complete order: exactly, by
+    subset enumeration, while the chargeable node count stays within
+    :data:`LEAF_ENUM_MAX_CHARGEABLE`, otherwise by the greedy planner, in
+    which case an exhausted tree reports ``heuristicLeaf`` instead of
+    ``optimal``.  ``prune=False`` disables all three cuts (soundness testing
+    only).
     """
     cfg = BnBConfig() if cfg is None else cfg
     w = inst.weights if weights is None else weights
     deadline = time.monotonic() + cfg.time_limit
-    search = _Search(inst, w, deadline)
-    if cfg.incumbent_seed is not None:
-        search.seed(cfg.incumbent_seed)
-    else:
+    chargeable = _chargeable(inst)
+    leaf_enum = len(chargeable) <= LEAF_ENUM_MAX_CHARGEABLE
+    price = partial(_best_charging, chargeable=chargeable) if leaf_enum else assemble_schedule
+    search = _Search(inst, w, deadline, price)
+    seed = cfg.incumbent_seed
+    if seed is None:
         try:
-            search.seed(bfd_initial(inst, w))
+            seed = bfd_initial(inst, w)
         except NoInitialSolutionError:
             pass
+    search.offer(seed)
 
-    n = inst.n
-    interior = list(range(1, n - 1))
-    visited = [False] * n
-    path = [0]
-    min_out = search.min_out
-
-    def dfs(last, a_last, dist_so_far, sep_sum, next_anchor, remaining_min, left):
-        # remaining_min = min_out[last] + sum of min_out over unvisited interior
-        search.tick()
-        if left == 0:
-            if prune and search.step_time(last, a_last, n - 1) is None:
-                return
-            path.append(n - 1)
-            search.leaf(path)
-            path.pop()
-            return
-        remaining_after = remaining_min - min_out[last]
-        for v in interior:
-            if visited[v]:
-                continue
-            r = search.rank.get(v)
-            if prune and r is not None and r != next_anchor:
-                continue
-            a_v = search.step_time(last, a_last, v)
-            if a_v is None:
-                if prune:
-                    continue
-                a_v = a_last  # bound-only placeholder; leaves re-propagate
-            delta = search.sep_delta(v, a_v)
-            d_edge = search.dist[last][v]
-            if prune:
-                b = search.bound(dist_so_far + d_edge + remaining_after, sep_sum + delta)
-                if b >= search.best_obj - _BOUND_TOL:
-                    continue
-            visited[v] = True
-            path.append(v)
-            dfs(
-                v,
-                a_v,
-                dist_so_far + d_edge,
-                sep_sum + delta,
-                next_anchor + (1 if r is not None else 0),
-                remaining_after,
-                left - 1,
-            )
-            path.pop()
-            visited[v] = False
-
-    exhausted = True
-    try:
-        dfs(0, search.a0_nocharge, 0.0, 0.0, 0, sum(min_out[u] for u in interior) + min_out[0], len(interior))
-    except _Timeout:
-        exhausted = False
-
+    exhausted = search.run([0, inst.n - 1], range(1, inst.n - 1), prune)
     if not exhausted:
         status = SolveStatus.TIME_LIMIT
     elif search.best is None:
         status = SolveStatus.INFEASIBLE
-    elif search.used_heuristic_leaf:
+    elif search.leaves and not leaf_enum:
         status = SolveStatus.HEURISTIC_LEAF
     else:
         status = SolveStatus.OPTIMAL
@@ -365,77 +338,12 @@ def solve_completion(
     repairs, so the result dominates any repair over the same removal set.
     """
     w = inst.weights if weights is None else weights
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-    search = _Search(inst, w, deadline)
     base = list(base_order)
-    removed = sorted(removed)
     if not base or base[0] != 0 or base[-1] != inst.n - 1:
         raise ValueError("base order must run from the start node to the end node")
-    n = inst.n
-    path = [0]
-    rank = search.rank
-    min_out = search.min_out
-
-    def pending_min_rank(bi, rem):
-        ranks = [rank[u] for u in rem if u in rank]
-        ranks.extend(rank[u] for u in base[bi:] if u in rank)
-        return min(ranks) if ranks else None
-
-    def leaf_eval():
-        search.tick()
-        sched = assemble_schedule(path, inst, w)
-        if sched is not None and sched.objective < search.best_obj:
-            search.best = sched
-            search.best_obj = sched.objective
-            search.incumbents.append((search.explored, search.best_obj))
-
-    def dfs(bi, rem, last, a_last, dist_so_far, sep_sum, remaining_min):
-        search.tick()
-        if bi == len(base) and not rem:
-            leaf_eval()
-            return
-        remaining_after = remaining_min - min_out[last]
-        need = pending_min_rank(bi, rem)
-        cands = []
-        if bi < len(base) and (base[bi] != n - 1 or not rem):
-            cands.append((base[bi], True))
-        cands.extend((u, False) for u in rem)
-        for v, from_base in cands:
-            r = rank.get(v)
-            if r is not None and need is not None and r != need:
-                continue
-            a_v = search.step_time(last, a_last, v)
-            if a_v is None:
-                continue
-            delta = search.sep_delta(v, a_v)
-            d_edge = search.dist[last][v]
-            b = search.bound(dist_so_far + d_edge + remaining_after, sep_sum + delta)
-            if b >= search.best_obj - _BOUND_TOL:
-                continue
-            path.append(v)
-            if from_base:
-                dfs(bi + 1, rem, v, a_v, dist_so_far + d_edge, sep_sum + delta, remaining_after)
-            else:
-                dfs(
-                    bi,
-                    tuple(x for x in rem if x != v),
-                    v,
-                    a_v,
-                    dist_so_far + d_edge,
-                    sep_sum + delta,
-                    remaining_after,
-                )
-            path.pop()
-
-    remaining0 = (
-        sum(min_out[u] for u in base[1:-1])
-        + sum(min_out[u] for u in removed)
-        + min_out[0]
-    )
-    try:
-        dfs(1, tuple(removed), 0, search.a0_nocharge, 0.0, 0.0, remaining0)
-    except _Timeout:
-        pass
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    search = _Search(inst, w, deadline, assemble_schedule)
+    search.run(base, removed)
     return search.best
 
 
@@ -499,11 +407,8 @@ def linearize(inst: Instance) -> LinearModel:
     nodes = inst.nodes
     m_time = max(nd.a_max for nd in nodes) - min(nd.a_min for nd in nodes)
     m_range = inst.k_max + float(inst.dist.max())
-    sep_set = set(inst.separators)
-
-    def walk(u):
-        c = nodes[u].charging
-        return 0.0 if c is None else c.walk_time
+    walk = inst.walk
+    day_ref = inst.day_ref
 
     def gain_cap(u):
         c = nodes[u].charging
@@ -548,29 +453,29 @@ def linearize(inst: Instance) -> LinearModel:
         has_r = u != n - 1
         if node.kind is NodeKind.FIXED:
             coeffs = {f"a_{u}": 1.0}
-            if has_r and walk(u):
-                coeffs[f"r_{u}"] = walk(u)
+            if has_r and walk[u]:
+                coeffs[f"r_{u}"] = walk[u]
             add(f"pinned_arrival_{u}", coeffs, "=", node.fixed_arrival)
-        if u in sep_set:
+        if u in day_ref:
             # Day boundaries measure their lower bound against the previous
             # day reference and add the walk instead of subtracting it.
-            rnk = inst.separator_rank[u]
+            ref = day_ref[u]
             coeffs = {f"a_{u}": 1.0}
-            if has_r and walk(u):
-                coeffs[f"r_{u}"] = -walk(u)
-            if rnk == 0:
+            if has_r and walk[u]:
+                coeffs[f"r_{u}"] = -walk[u]
+            if ref is None:
                 coeffs["a_0"] = coeffs.get("a_0", 0.0) - 1.0
                 add(f"window_lo_{u}", coeffs, ">=", 0.0)
             else:
-                add(f"window_lo_{u}", coeffs, ">=", nodes[inst.separators[rnk - 1]].a_max)
+                add(f"window_lo_{u}", coeffs, ">=", ref)
         else:
             coeffs = {f"a_{u}": 1.0}
-            if has_r and walk(u):
-                coeffs[f"r_{u}"] = walk(u)
+            if has_r and walk[u]:
+                coeffs[f"r_{u}"] = walk[u]
             add(f"window_lo_{u}", coeffs, ">=", node.a_min)
         coeffs = {f"a_{u}": 1.0}
-        if has_r and walk(u):
-            coeffs[f"r_{u}"] = walk(u)
+        if has_r and walk[u]:
+            coeffs[f"r_{u}"] = walk[u]
         add(f"window_hi_{u}", coeffs, "<=", node.a_max - node.duration)
 
     for u in range(n):
@@ -578,16 +483,16 @@ def linearize(inst: Instance) -> LinearModel:
             if u == v:
                 continue
             coeffs = {f"a_{v}": 1.0, f"x_{u}_{v}": -m_time}
-            if v != n - 1 and walk(v):
-                coeffs[f"r_{v}"] = -walk(v)
-            if u in sep_set:
-                if walk(u):
-                    coeffs[f"r_{u}"] = coeffs.get(f"r_{u}", 0.0) - walk(u)
+            if v != n - 1 and walk[v]:
+                coeffs[f"r_{v}"] = -walk[v]
+            if u in day_ref:
+                if walk[u]:
+                    coeffs[f"r_{u}"] = coeffs.get(f"r_{u}", 0.0) - walk[u]
                 rhs = nodes[u].a_max + float(inst.travel[u, v]) - m_time
             else:
                 coeffs[f"a_{u}"] = -1.0
-                if u != n - 1 and walk(u):
-                    coeffs[f"r_{u}"] = coeffs.get(f"r_{u}", 0.0) - 2.0 * walk(u)
+                if u != n - 1 and walk[u]:
+                    coeffs[f"r_{u}"] = coeffs.get(f"r_{u}", 0.0) - 2.0 * walk[u]
                 rhs = nodes[u].duration + float(inst.travel[u, v]) - m_time
             add(f"chain_time_{u}_{v}", coeffs, ">=", rhs, big_m=m_time)
 
@@ -616,12 +521,12 @@ def linearize(inst: Instance) -> LinearModel:
         for v in range(n):
             if u != v:
                 obj[f"x_{u}_{v}"] = w.wd * float(inst.dist[u, v])
-    for i, u in enumerate(inst.separators):
+    for u, ref in day_ref.items():
         obj[f"a_{u}"] = obj.get(f"a_{u}", 0.0) + w.wt
-        if i == 0:
+        if ref is None:
             obj["a_0"] = obj.get("a_0", 0.0) - w.wt
         else:
-            const -= w.wt * nodes[inst.separators[i - 1]].a_max
+            const -= w.wt * ref
     obj[f"k_{n - 1}"] = obj.get(f"k_{n - 1}", 0.0) - w.wc
     for u in range(n - 1):
         obj[f"r_{u}"] = obj.get(f"r_{u}", 0.0) + inst.epsilon

@@ -407,16 +407,21 @@ def _node_from_json(obj: dict) -> EventNode:
     )
 
 
+def _reject_constant(token: str):
+    raise InstanceFormatError(f"non-finite number {token} is not allowed")
+
+
 def load(path) -> Instance:
     """Read an instance file written by :func:`save`.
 
     Malformed JSON raises :class:`InstanceFormatError` with the failing
     offset; an unknown version raises :class:`UnsupportedVersionError`;
-    schema or invariant problems raise :class:`InstanceFormatError`.
+    schema or invariant problems, and ``NaN``/``Infinity`` tokens, raise
+    :class:`InstanceFormatError`.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise InstanceFormatError(f"invalid JSON: {e.msg} at offset {e.pos}", offset=e.pos) from e
     if not isinstance(doc, dict):

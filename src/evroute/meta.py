@@ -20,6 +20,7 @@ from .core import Instance, NodeKind, Schedule, Weights, objective_lower_bound
 from .errors import NoSolutionFoundError
 from .exact import solve_completion
 from .schedule import (
+    _time_step,
     anchored_sequence,
     assemble_schedule,
     bfd_initial,
@@ -413,41 +414,21 @@ def pheromone_update(
     return out
 
 
-def _earliest_step(inst, prev, a_prev, v):
-    """Earliest uncharged arrival at v after prev, or None if the step
-    breaks v's window or pin."""
-    pn = inst.nodes[prev]
-    if pn.kind is NodeKind.SEPARATOR:
-        lb = pn.a_max + inst.travel_rows[prev][v]
-    else:
-        lb = a_prev + pn.duration + inst.travel_rows[prev][v]
-    node = inst.nodes[v]
-    if node.kind is NodeKind.FIXED:
-        if lb > node.fixed_arrival + 1e-6:
-            return None
-        return node.fixed_arrival
-    if node.kind is NodeKind.SEPARATOR:
-        a_v = lb  # day reference only moves arrivals later; lb check suffices
-    else:
-        a_v = max(lb, node.a_min)
-    if a_v > node.a_max - node.duration + 1e-6:
-        return None
-    return a_v
-
-
-def _construct_route(inst, anchored, rank, tau, eta, p, rng):
+def _construct_route(inst, anchored, tau, eta, p, rng):
     """One ant's route, or None on a dead end.
 
     Candidates must keep the anchored total order, be reachable inside
     their own window and leave the next pending anchored node reachable;
-    an ant with no admissible candidate abandons the route.
+    an ant with no admissible candidate abandons the route.  Arrivals are
+    propagated without charging.
     """
     n = inst.n
     nodes = inst.nodes
+    rank = inst.anchor_rank
     visited = [False] * n
     order = [0]
     current = 0
-    a_cur = max(0.0, nodes[0].a_min)
+    a0 = a_cur = max(0.0, nodes[0].a_min)
     next_anchor = 0
     for _ in range(n - 2):
         pending = anchored[next_anchor] if next_anchor < len(anchored) else None
@@ -459,11 +440,11 @@ def _construct_route(inst, anchored, rank, tau, eta, p, rng):
             r = rank.get(v)
             if r is not None and r != next_anchor:
                 continue
-            a_v = _earliest_step(inst, current, a_cur, v)
+            a_v = _time_step(inst, current, a_cur, 0.0, v, 0.0, a0)
             if a_v is None:
                 continue
             if pending is not None and v != pending:
-                if _earliest_step(inst, v, a_v, pending) is None:
+                if _time_step(inst, v, a_v, 0.0, pending, 0.0, a0) is None:
                     continue
             # arrivals never decrease along a route, so a candidate whose
             # departure outruns any unvisited window strands that node
@@ -526,7 +507,6 @@ def aco(
     rng = np.random.default_rng(rng_seed)
     n = inst.n
     anchored = anchored_sequence(inst)
-    rank = {u: i for i, u in enumerate(anchored)}
     dist = inst.dist
     travel = inst.travel
     eta = 1.0 / (w.wd * dist + w.wt * travel + ETA_EPS)
@@ -537,7 +517,7 @@ def aco(
         tau_rows = tau.tolist()
         solutions = []
         for _ in range(p.ants):
-            order = _construct_route(inst, anchored, rank, tau_rows, eta, p, rng)
+            order = _construct_route(inst, anchored, tau_rows, eta, p, rng)
             if order is None:
                 continue
             sched = assemble_schedule(order, inst, w)

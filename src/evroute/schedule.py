@@ -26,30 +26,14 @@ RANK_EPS = 0.1          # minutes; keeps the stop ranking finite for zero-walk s
 EXTRA_STOP_FRACTION = 0.10  # of battery capacity; justifies a stop beyond feasibility
 
 
-def _walk(node, flag) -> float:
-    if flag and node.charging is not None and node.kind is not NodeKind.END:
-        return node.charging.walk_time
-    return 0.0
-
-
-def anchor_key(node) -> tuple[float, int]:
-    """Canonical chronological key for order-anchored nodes."""
-    t = node.fixed_arrival if node.kind is NodeKind.FIXED else node.a_max
-    return (t, node.id)
-
-
 def anchored_sequence(inst: Instance) -> tuple[int, ...]:
     """Fixed events and separators in their required visit order."""
-    anchored = [
-        nd for nd in inst.nodes[1:-1] if nd.kind in (NodeKind.FIXED, NodeKind.SEPARATOR)
-    ]
-    anchored.sort(key=anchor_key)
-    return tuple(nd.id for nd in anchored)
+    return tuple(inst.anchor_rank)
 
 
 def respects_anchor_order(order: Sequence[int], inst: Instance) -> bool:
     """True when fixed events and separators appear in canonical order."""
-    ranks = {u: i for i, u in enumerate(anchored_sequence(inst))}
+    ranks = inst.anchor_rank
     last = -1
     for u in order:
         r = ranks.get(u)
@@ -60,6 +44,45 @@ def respects_anchor_order(order: Sequence[int], inst: Instance) -> bool:
     return True
 
 
+def _time_step(
+    inst: Instance, prev: int, a_prev: float, w_prev: float, v: int, w_v: float, a0: float
+) -> float | None:
+    """Earliest arrival at ``v`` straight after ``prev``, or None.
+
+    ``prev`` is reached at ``a_prev``, ``w_prev`` and ``w_v`` are the
+    one-way charger walks taken at the two nodes (zero when not charging)
+    and ``a0`` is the route start.  The vehicle leaves after the stay plus
+    the walk there and back, or a separator at its latest departure plus the
+    walk, then travels and walks to ``v``.  Fixed events are pinned to their
+    arrival less the walk, other nodes wait for their window, separators for
+    their day reference.  Returns None when the pin or the window top of
+    ``v`` breaks.
+    """
+    nodes = inst.nodes
+    pn = nodes[prev]
+    if pn.kind is NodeKind.SEPARATOR:
+        lb = pn.a_max + w_prev + inst.travel_rows[prev][v] + w_v
+    else:
+        lb = a_prev + pn.duration + 2.0 * w_prev + inst.travel_rows[prev][v] + w_v
+    node = nodes[v]
+    if node.kind is NodeKind.FIXED:
+        a_v = node.fixed_arrival - w_v
+        if lb > a_v + TIME_TOL:
+            return None
+    else:
+        # Separator lower bounds add the walk; windowed nodes subtract it.
+        if node.kind is NodeKind.SEPARATOR:
+            ref = inst.day_ref[v]
+            a_v = (a0 if ref is None else ref) + w_v
+        else:
+            a_v = node.a_min - w_v
+        if not a_v > lb:  # max(lb, a_v), NaN included, without a builtin call in the hot loop
+            a_v = lb
+    if a_v > node.a_max - node.duration - w_v + TIME_TOL:
+        return None
+    return a_v
+
+
 def propagate_times(order: Sequence[int], charge: Sequence[int], inst: Instance) -> TimedOrder:
     """Earliest feasible arrival times along ``order`` for given charge flags.
 
@@ -68,50 +91,32 @@ def propagate_times(order: Sequence[int], charge: Sequence[int], inst: Instance)
     against the previous day's reference.  The start time is the start
     node's own earliest arrival: later arrivals only delay the chain, so the
     window lower bound is the earliest start that can ever be feasible.
-    Returns ``feasible_times=False`` when any clamp fails.  ``order`` may be
-    a partial order (missing interior nodes) as long as it runs from the
-    start node to the end node.
+    Returns ``feasible_times=False`` when any clamp fails, with the arrivals
+    from the failing node on left NaN.  ``order`` may be a partial order
+    (missing interior nodes) as long as it runs from the start node to the
+    end node.
     """
     nodes = inst.nodes
     n = len(nodes)
     if not order or order[0] != 0 or order[-1] != n - 1:
         raise ValueError("order must run from the start node to the end node")
-    travel = inst.travel_rows
-    separators = inst.separators
-    sep_rank = inst.separator_rank
+    walk = inst.walk
     arrival = [math.nan] * n
-    feasible = True
-    a0 = 0.0
-    prev = -1
-    for pos, u in enumerate(order):
-        node = nodes[u]
-        w_u = _walk(node, charge[u])
-        if pos == 0:
-            a_u = max(0.0, node.a_min - w_u)
-            a0 = a_u
-        else:
-            pnode = nodes[prev]
-            w_p = _walk(pnode, charge[prev])
-            if pnode.kind is NodeKind.SEPARATOR:
-                lb_chain = pnode.a_max + w_p + travel[prev][u] + w_u
-            else:
-                lb_chain = arrival[prev] + pnode.duration + 2.0 * w_p + travel[prev][u] + w_u
-            if node.kind is NodeKind.FIXED:
-                a_u = node.fixed_arrival - w_u
-                if lb_chain > a_u + TIME_TOL:
-                    feasible = False
-            elif node.kind is NodeKind.SEPARATOR:
-                rank = sep_rank[u]
-                ref = a0 if rank == 0 else nodes[separators[rank - 1]].a_max
-                # Separator lower bounds add the walk; windowed nodes subtract it.
-                a_u = max(lb_chain, ref + w_u)
-            else:
-                a_u = max(lb_chain, node.a_min - w_u)
-        if a_u > node.a_max - node.duration - w_u + TIME_TOL:
-            feasible = False
+    start = nodes[0]
+    w_prev = walk[0] if charge[0] else 0.0
+    a_prev = a0 = max(0.0, start.a_min - w_prev)
+    if a0 > start.a_max - start.duration - w_prev + TIME_TOL:
+        return TimedOrder(tuple(order), tuple(arrival), False)
+    arrival[0] = a0
+    prev = 0
+    for u in order[1:]:
+        w_u = walk[u] if charge[u] else 0.0
+        a_u = _time_step(inst, prev, a_prev, w_prev, u, w_u, a0)
+        if a_u is None:
+            return TimedOrder(tuple(order), tuple(arrival), False)
         arrival[u] = a_u
-        prev = u
-    return TimedOrder(tuple(order), tuple(arrival), feasible)
+        prev, a_prev, w_prev = u, a_u, w_u
+    return TimedOrder(tuple(order), tuple(arrival), True)
 
 
 def charge_gains(order: Sequence[int], charge: Sequence[int], inst: Instance) -> tuple[float, ...]:
@@ -278,13 +283,14 @@ def waiting_slack(s: Schedule, inst: Instance) -> float:
     """Total idle minutes along the route: arrival minus earliest possible
     arrival from the predecessor, summed over the used edges."""
     nodes = inst.nodes
+    walk = inst.walk
     travel = inst.travel_rows
     total = 0.0
     for i in range(len(s.order) - 1):
         u, v = s.order[i], s.order[i + 1]
         nu = nodes[u]
-        w_u = _walk(nu, s.charge[u])
-        w_v = _walk(nodes[v], s.charge[v])
+        w_u = walk[u] if s.charge[u] else 0.0
+        w_v = walk[v] if s.charge[v] else 0.0
         if nu.kind is NodeKind.SEPARATOR:
             dep = nu.a_max + w_u
         else:

@@ -36,7 +36,7 @@ def lp_min_arrival(inst: Instance, order, charge, target):
             A_eq.append(row)
             b_eq.append(nd.fixed_arrival - w_u)
         elif nd.kind is NodeKind.SEPARATOR:
-            rank = inst.separator_rank[u]
+            rank = inst.separators.index(u)
             row = [0.0] * n
             row[i] = -1.0
             if rank == 0:
@@ -106,7 +106,7 @@ def grid_min_arrivals(inst: Instance, order, charge, targets):
             else:
                 chain = prev_arrival + pn.duration + 2.0 * w_p + inst.travel[p, u] + w_u
             if nd.kind is NodeKind.SEPARATOR:
-                rank = inst.separator_rank[u]
+                rank = inst.separators.index(u)
                 ref = arrivals[0] if rank == 0 else inst.nodes[inst.separators[rank - 1]].a_max
                 lo = max(chain, ref + w_u)
             elif nd.kind is NodeKind.FIXED:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from evroute import (
+    ChargingOption,
     ConstraintId,
     EventNode,
     GenConfig,
@@ -120,6 +121,51 @@ class TestValidate:
         hits = [v for v in validate(bad, seed42) if v.constraint_id is ConstraintId.MIN_RANGE]
         assert len(hits) == 1
         assert hits[0].magnitude == pytest.approx(1.0, abs=1e-9)
+
+    def test_nan_distance_on_used_edge_is_reported(self, seed42):
+        # A NaN edge makes every later range NaN; each NaN comparison is
+        # false, so a validator written as "x > bound" would pass it.
+        o = bfd_initial(seed42).order
+        d = seed42.dist.copy()
+        d[o[1], o[2]] = math.nan
+        inst = replace(seed42, dist=d)
+        s = bfd_initial(inst)
+        assert math.isnan(s.objective)
+        found = validate(s, inst)
+        assert found
+        domain = {v.location for v in found if v.constraint_id is ConstraintId.DOMAIN}
+        assert f"edge {o[1]}->{o[2]}" in domain
+        assert f"node {o[2]}" in domain
+
+    def test_non_finite_schedule_entries_are_domain_violations(self, seed42):
+        s = assemble_schedule(bfd_initial(seed42).order, seed42)
+        u = s.order[2]
+        for field in ("arrival", "gain", "ranges"):
+            for x in (math.nan, math.inf):
+                values = list(getattr(s, field))
+                values[u] = x
+                found = validate(replace(s, **{field: tuple(values)}), seed42)
+                assert any(
+                    v.constraint_id is ConstraintId.DOMAIN and v.location == f"node {u}" for v in found
+                ), (field, x)
+
+
+class TestFiniteInput:
+    @pytest.mark.parametrize("field", ["a_min", "a_max", "duration", "fixed_arrival"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_event_node_rejects_non_finite(self, field, x):
+        kw = dict(id=1, kind=NodeKind.FIXED, a_min=0.0, a_max=100.0, duration=10.0, fixed_arrival=5.0)
+        kw[field] = x
+        with pytest.raises(ValueError, match="finite"):
+            EventNode(**kw)
+
+    @pytest.mark.parametrize("field", ["walk_time", "rate", "max_gain"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_charging_option_rejects_non_finite(self, field, x):
+        kw = dict(walk_time=1.0, rate=1.0, max_gain=10.0)
+        kw[field] = x
+        with pytest.raises(ValueError, match="finite"):
+            ChargingOption(**kw)
 
 
 class TestNormalizeWeights:

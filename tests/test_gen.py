@@ -178,6 +178,16 @@ class TestSaveLoad:
         assert inst.nodes[1].charging.walk_time == 2.5
         assert bfd_initial(inst) is not None
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token_is_format_error(self, tmp_path, seed42, token):
+        p = tmp_path / "inst.json"
+        save(seed42, p)
+        doc = json.loads(p.read_text())
+        doc["dist"][1][2] = "TOKEN"
+        p.write_text(json.dumps(doc).replace('"TOKEN"', token))
+        with pytest.raises(InstanceFormatError, match=token):
+            load(p)
+
     def test_non_integer_minutes_rejected_on_save(self, tmp_path, seed42):
         from dataclasses import replace
 

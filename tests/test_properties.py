@@ -1,0 +1,103 @@
+"""Property tests over generated instances.
+
+Examples are derived from a fixed seed (``derandomize``), so every run of
+the suite checks the same instances.
+"""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
+
+from evroute import (
+    GenConfig,
+    NodeKind,
+    SolveStatus,
+    assemble_schedule,
+    bfd_initial,
+    generate,
+    load,
+    oracle,
+    respects_anchor_order,
+    save,
+    solve_completion,
+    solve_exact,
+)
+from evroute.errors import GenerationFailedError
+
+PROPERTY_SETTINGS = settings(
+    max_examples=50,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def instances(draw, max_nodes):
+    """A generated instance of at most ``max_nodes`` nodes."""
+    max_days = draw(st.integers(1, 2))
+    events = draw(st.integers(1, max_nodes - 2 - max_days))
+    seed = draw(st.integers(0, 2**31 - 1))
+    try:
+        return generate(GenConfig(seed=seed, event_count=events, max_days=max_days))
+    except GenerationFailedError:
+        reject()
+
+
+def completions(base, removed):
+    """Every order that keeps ``base`` as a subsequence and places each
+    removed node somewhere before the end node."""
+    if not removed:
+        return {tuple(base)}
+    out = set()
+    for u in removed:
+        rest = [x for x in removed if x != u]
+        for p in range(1, len(base)):
+            out |= completions(base[:p] + [u] + base[p:], rest)
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(instances(max_nodes=10))
+def test_solve_exact_agrees_with_oracle(inst):
+    assert inst.n <= 10
+    best = oracle(inst)
+    res = solve_exact(inst)
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.objective == pytest.approx(best.objective, abs=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_solve_completion_matches_brute_force(data):
+    inst = data.draw(instances(max_nodes=8))
+    assert inst.n <= 8
+    removable = [nd.id for nd in inst.nodes if nd.kind in (NodeKind.FIXED, NodeKind.FLEXIBLE)]
+    removed = data.draw(
+        st.lists(st.sampled_from(removable), min_size=1, max_size=min(3, len(removable)), unique=True)
+    )
+    base = [u for u in bfd_initial(inst).order if u not in removed]
+    best = None
+    for order in completions(base, removed):
+        if not respects_anchor_order(order, inst):
+            continue
+        s = assemble_schedule(order, inst)
+        if s is not None and (best is None or s.objective < best):
+            best = s.objective
+    got = solve_completion(inst, base, removed)
+    # the removed nodes' BFD positions are one completion, so one exists
+    assert best is not None and got is not None
+    assert got.objective == pytest.approx(best, abs=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(instances(max_nodes=12))
+def test_load_save_round_trip(inst):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        save(inst, path)
+        assert load(path) == inst
