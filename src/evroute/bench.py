@@ -116,7 +116,7 @@ def hybrid_dispatch(
 
     def note(solver, **extra):
         if trace is not None:
-            trace.events.append({"kind": "dispatch", "solver": solver, **extra})
+            trace.record("dispatch", solver=solver, **extra)
 
     if n_events < EXACT_SIZE_LIMIT:
         res = solve_exact(inst, BnBConfig(time_limit=budget), w)

@@ -336,11 +336,16 @@ def solve_completion(
     anywhere that respects the anchored total order.  Complete orders are
     priced by the greedy charging planner, exactly like the heuristic
     repairs, so the result dominates any repair over the same removal set.
+    ``base_order`` and ``removed`` together must hold every node exactly
+    once.
     """
     w = inst.weights if weights is None else weights
     base = list(base_order)
+    removed = list(removed)
     if not base or base[0] != 0 or base[-1] != inst.n - 1:
         raise ValueError("base order must run from the start node to the end node")
+    if sorted(base + removed) != list(range(inst.n)):
+        raise ValueError("base order and removed nodes overlap or miss a node")
     deadline = None if time_limit is None else time.monotonic() + time_limit
     search = _Search(inst, w, deadline, assemble_schedule)
     search.run(base, removed)

@@ -411,19 +411,28 @@ def _reject_constant(token: str):
     raise InstanceFormatError(f"non-finite number {token} is not allowed")
 
 
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise InstanceFormatError(f"number literal {literal} overflows to infinity")
+    return value
+
+
 def load(path) -> Instance:
     """Read an instance file written by :func:`save`.
 
     Malformed JSON raises :class:`InstanceFormatError` with the failing
     offset; an unknown version raises :class:`UnsupportedVersionError`;
-    schema or invariant problems, and ``NaN``/``Infinity`` tokens, raise
-    :class:`InstanceFormatError`.
+    schema or invariant problems, ``NaN``/``Infinity`` tokens and number
+    literals too large for a float raise :class:`InstanceFormatError`.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
     except json.JSONDecodeError as e:
         raise InstanceFormatError(f"invalid JSON: {e.msg} at offset {e.pos}", offset=e.pos) from e
+    except ValueError as e:  # an integer literal beyond the interpreter's digit limit
+        raise InstanceFormatError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise InstanceFormatError("top-level value must be an object")
     version = doc.get("version")
@@ -451,5 +460,5 @@ def load(path) -> Instance:
         )
     except UnsupportedVersionError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InstanceFormatError(f"invalid instance content: {e}") from e

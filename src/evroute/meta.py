@@ -3,16 +3,18 @@
 Tabu search with swap/insert moves, adaptive large neighborhood search with
 three repair operators, and ant colony optimization.  All three share the
 assembly pipeline (greedy charging planner plus earliest-time propagation)
-for candidate evaluation and are deterministic given their RNG seed; the
-generator is numpy's PCG64.
+for candidate evaluation, assemble each distinct order at most once per
+call, and are deterministic given their RNG seed; the generator is numpy's
+PCG64.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,9 +41,12 @@ REPAIR_EXACT = "exactMip"
 _ALL_REPAIRS = (REPAIR_RANDOM, REPAIR_CONSTRUCTIVE, REPAIR_EXACT)
 
 
-@dataclass(frozen=True)
-class Move:
-    """Elementary reordering move on interior positions."""
+class Move(NamedTuple):
+    """Elementary reordering move on interior positions.
+
+    A move is the named tuple ``(kind, i, j)``; tabu search records it in
+    its trace events as such, and JSON writes it as a list.
+    """
 
     kind: str  # "swap" or "insert"
     i: int
@@ -122,16 +127,121 @@ class AcoParams:
             raise ValueError("tau0 must be positive")
 
 
-@dataclass
+_TYPECODES = {bool: "b", int: "q", float: "d"}
+
+
+def _column_values(column) -> list:
+    if isinstance(column, list):
+        return column
+    if column.typecode == "b":
+        return [bool(v) for v in column]
+    return column.tolist()
+
+
 class SearchTrace:
-    """In-memory run record: best objective per iteration plus solver events."""
+    """Compact in-memory record of one solver run.
 
-    best: list[tuple[int, float]] = field(default_factory=list)
-    events: list[dict] = field(default_factory=list)
+    Solvers write through :meth:`note_best`, once per iteration in
+    iteration order, and :meth:`record`, once per event.  The best
+    objectives sit in one ``array('d')``.  Events sit in columns, one set
+    per event shape (kind plus field names); a column of bools, ints or
+    floats is a typed array and any other column a list, so a long run
+    keeps no dict or tuple per iteration.  The read-only views
+    :attr:`best` and :attr:`events` rebuild ``[(iteration, objective),
+    ...]`` and ``[{"kind": kind, **fields}, ...]`` in recording order, every
+    field in the type it was recorded with.
+    """
+
+    def __init__(self):
+        self._best = array("d")
+        self._shapes: dict[tuple[str, tuple[str, ...]], int] = {}
+        self._columns: list[list] = []   # per shape, one column per field
+        self._shape_of = array("I")      # per event, the index of its shape
+
+    def note_best(self, objective: float) -> None:
+        """Append the best objective after the next iteration."""
+        self._best.append(objective)
+
+    def record(self, kind: str, **fields) -> None:
+        """Append one event of ``kind`` with ``fields``."""
+        shape = (kind, tuple(fields))
+        s = self._shapes.get(shape)
+        if s is None:
+            s = self._shapes[shape] = len(self._columns)
+            self._columns.append(
+                [array(_TYPECODES[type(v)]) if type(v) in _TYPECODES else [] for v in fields.values()]
+            )
+        columns = self._columns[s]
+        for k, v in enumerate(fields.values()):
+            column = columns[k]
+            if not isinstance(column, list):
+                if _TYPECODES.get(type(v)) == column.typecode:
+                    try:
+                        column.append(v)
+                        continue
+                    except OverflowError:
+                        pass
+                # a value the typed column cannot hold as recorded
+                column = columns[k] = _column_values(column)
+            column.append(v)
+        self._shape_of.append(s)
+
+    @property
+    def best(self) -> list[tuple[int, float]]:
+        return list(enumerate(self._best))
+
+    @property
+    def events(self) -> list[dict]:
+        shapes = list(self._shapes)
+        columns = [[_column_values(c) for c in cols] for cols in self._columns]
+        cursor = [0] * len(shapes)
+        out = []
+        for s in self._shape_of:
+            kind, names = shapes[s]
+            i = cursor[s]
+            cursor[s] = i + 1
+            event = {"kind": kind}
+            for name, column in zip(names, columns[s]):
+                v = column[i]
+                # consecutive events may share one recorded list; hand out copies
+                event[name] = v.copy() if type(v) is list else v
+            out.append(event)
+        return out
 
 
-def _moves(order: Sequence[int]) -> list[Move]:
-    n = len(order)
+class _RunMemo:
+    """One solver call's memory of evaluated solutions.
+
+    Maps each visit order to its assembled schedule (None when infeasible)
+    and each deterministic ALNS repair, keyed by ``(operator, base,
+    removed)``, to its result.  Tabu search cycles and ants retrace routes,
+    so a revisit then costs one lookup instead of an assembly (Woodruff and
+    Zemel, "Hashing vectors for tabu search", 1993).  Each solver call makes
+    its own and drops it on return, so no state outlives the call.
+    """
+
+    def __init__(self, inst: Instance, weights: Weights):
+        self.inst = inst
+        self.weights = weights
+        self._seen: dict[tuple, Schedule | None] = {}
+
+    def assemble(self, order: Sequence[int]) -> Schedule | None:
+        key = tuple(order)
+        seen = self._seen
+        if key in seen:
+            return seen[key]
+        sched = seen[key] = assemble_schedule(order, self.inst, self.weights)
+        return sched
+
+    def repair(self, key: tuple, compute: Callable[[], Schedule | None]) -> Schedule | None:
+        seen = self._seen
+        if key in seen:
+            return seen[key]
+        sched = seen[key] = compute()
+        return sched
+
+
+def _moves(n: int) -> list[Move]:
     out = []
     for i in range(1, n - 1):
         for j in range(i + 1, n - 1):
@@ -170,13 +280,15 @@ def tabu_search(
         "swap": deque(maxlen=len_swap),
         "insert": deque(maxlen=len_insert),
     }
-    for it in range(p.iterations):
+    memo = _RunMemo(inst, w)
+    moves = _moves(len(current.order))
+    for _ in range(p.iterations):
         chosen: tuple[Move, Schedule, bool] | None = None
-        for move in _moves(current.order):
+        for move in moves:
             cand_order = move.apply(current.order)
             if not respects_anchor_order(cand_order, inst):
                 continue
-            sched = assemble_schedule(cand_order, inst, w)
+            sched = memo.assemble(cand_order)
             if sched is None:
                 continue
             is_tabu = move in tabu[move.kind]
@@ -192,10 +304,8 @@ def tabu_search(
         if current.objective < best.objective:
             best = current
         if trace is not None:
-            trace.best.append((it, best.objective))
-            trace.events.append(
-                {"kind": "move", "move": move, "tabu": was_tabu, "objective": sched.objective}
-            )
+            trace.note_best(best.objective)
+            trace.record("move", move=move, tabu=was_tabu, objective=sched.objective)
     return best
 
 
@@ -215,7 +325,8 @@ def _valid_positions(order: list[int], node: int, inst: Instance) -> list[int]:
     return out
 
 
-def _repair_random(inst, w, base, removed, rng):
+def _repair_random(memo, base, removed, rng):
+    inst = memo.inst
     zeros = [0] * inst.n
     for _ in range(_RANDOM_REPAIR_ATTEMPTS):
         order = list(base)
@@ -230,14 +341,16 @@ def _repair_random(inst, w, base, removed, rng):
             continue
         if not propagate_times(order, zeros, inst).feasible_times:
             continue
-        sched = assemble_schedule(order, inst, w)
+        sched = memo.assemble(order)
         if sched is not None:
             return sched
     return None
 
 
-def _repair_constructive(inst, w, base, removed):
+def _repair_constructive(memo, base, removed):
     """Cheapest insertion on weighted distance plus travel time deltas."""
+    inst = memo.inst
+    w = memo.weights
     dist = inst.dist_rows
     travel = inst.travel_rows
     zeros = [0] * inst.n
@@ -263,19 +376,22 @@ def _repair_constructive(inst, w, base, removed):
                 break
         if not placed:
             return None
-    return assemble_schedule(order, inst, w)
+    return memo.assemble(order)
 
 
-def _roulette(rng, ops, op_weights):
+def _probabilities(ops, op_weights) -> list[float]:
     total = sum(op_weights[op] for op in ops)
-    probs = [op_weights[op] / total for op in ops]
+    return [op_weights[op] / total for op in ops]
+
+
+def _roulette(rng, ops, probs):
     r = float(rng.random())
     acc = 0.0
     for op, pr in zip(ops, probs):
         acc += pr
         if r < acc:
-            return op, probs
-    return ops[-1], probs
+            return op
+    return ops[-1]
 
 
 def alns(
@@ -303,8 +419,12 @@ def alns(
     n_events = len(removable)
     ops = [op for op in _ALL_REPAIRS if op in p.repair_set]
     op_weights = {op: 1.0 for op in ops}
+    # rebuilt on each weight update; trace events share them until then
+    probs = _probabilities(ops, op_weights)
+    weight_list = [op_weights[o] for o in ops]
     scores = {op: 0.0 for op in ops}
     uses = {op: 0 for op in ops}
+    memo = _RunMemo(inst, w)
 
     for it in range(p.iterations):
         if p.dod_scheme == "static":
@@ -318,21 +438,22 @@ def alns(
         removed = sorted(int(u) for u in rng.choice(removable, size=dod, replace=False))
         removed_set = set(removed)
         base = [u for u in current.order if u not in removed_set]
-        op, probs = _roulette(rng, ops, op_weights)
+        op = _roulette(rng, ops, probs)
         uses[op] += 1
         if op == REPAIR_RANDOM:
-            cand = _repair_random(inst, w, base, removed, rng)
-        elif op == REPAIR_CONSTRUCTIVE:
-            cand = _repair_constructive(inst, w, base, removed)
+            cand = _repair_random(memo, base, removed, rng)
+        elif op == REPAIR_EXACT and len(removed) <= p.exact_repair_max_removed:
+            cand = memo.repair(
+                (op, tuple(base), tuple(removed)),
+                lambda: solve_completion(inst, base, removed, w),
+            )
         else:
-            if len(removed) <= p.exact_repair_max_removed:
-                cand = solve_completion(inst, base, removed, w)
-            else:
-                if trace is not None:
-                    trace.events.append(
-                        {"kind": "exact_repair_timeout", "iteration": it, "removed": len(removed)}
-                    )
-                cand = _repair_constructive(inst, w, base, removed)
+            if op == REPAIR_EXACT and trace is not None:
+                trace.record("exact_repair_timeout", iteration=it, removed=len(removed))
+            cand = memo.repair(
+                (REPAIR_CONSTRUCTIVE, tuple(base), tuple(removed)),
+                lambda: _repair_constructive(memo, base, removed),
+            )
         accepted = False
         if cand is not None:
             if cand.objective < best.objective:
@@ -346,17 +467,15 @@ def alns(
                 if cand.objective < best.objective:
                     best = cand
         if trace is not None:
-            trace.best.append((it, best.objective))
-            trace.events.append(
-                {
-                    "kind": "repair",
-                    "iteration": it,
-                    "operator": op,
-                    "probabilities": probs,
-                    "weights": [op_weights[o] for o in ops],
-                    "accepted": accepted,
-                    "feasible": cand is not None,
-                }
+            trace.note_best(best.objective)
+            trace.record(
+                "repair",
+                iteration=it,
+                operator=op,
+                probabilities=probs,
+                weights=weight_list,
+                accepted=accepted,
+                feasible=cand is not None,
             )
         if (it + 1) % p.segment == 0:
             for o in ops:
@@ -366,6 +485,8 @@ def alns(
                     )
                 scores[o] = 0.0
                 uses[o] = 0
+            probs = _probabilities(ops, op_weights)
+            weight_list = [op_weights[o] for o in ops]
     return best
 
 
@@ -512,6 +633,7 @@ def aco(
     eta = 1.0 / (w.wd * dist + w.wt * travel + ETA_EPS)
     eta = eta.tolist()
     tau = np.full((n, n), p.tau0, dtype=float)
+    memo = _RunMemo(inst, w)
     best: Schedule | None = None
     for it in range(p.iterations):
         tau_rows = tau.tolist()
@@ -520,7 +642,7 @@ def aco(
             order = _construct_route(inst, anchored, tau_rows, eta, p, rng)
             if order is None:
                 continue
-            sched = assemble_schedule(order, inst, w)
+            sched = memo.assemble(order)
             if sched is not None:
                 solutions.append(sched)
         for s in solutions:
@@ -528,10 +650,8 @@ def aco(
                 best = s
         tau = pheromone_update(tau, solutions, best, p.rho, w)
         if trace is not None:
-            trace.best.append((it, math.inf if best is None else best.objective))
-            trace.events.append(
-                {"kind": "colony", "iteration": it, "feasible_ants": len(solutions)}
-            )
+            trace.note_best(math.inf if best is None else best.objective)
+            trace.record("colony", iteration=it, feasible_ants=len(solutions))
     if best is None:
         raise NoSolutionFoundError("every ant route was infeasible in every iteration")
     return best

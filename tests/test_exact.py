@@ -135,6 +135,16 @@ class TestSolveExact:
 
 
 class TestSolveCompletion:
+    def test_base_and_removed_must_hold_every_node_once(self, seed42):
+        order = bfd_initial(seed42).order
+        flexible = [u for u in order if seed42.nodes[u].kind is NodeKind.FLEXIBLE]
+        base = [u for u in order if u not in flexible[:2]]
+        with pytest.raises(ValueError, match="miss"):
+            solve_completion(seed42, base, flexible[:1])
+        with pytest.raises(ValueError, match="overlap"):
+            solve_completion(seed42, order, flexible[:1])
+        assert solve_completion(seed42, base, flexible[:2]) is not None
+
     def test_reinsertion_recovers_optimal_order(self, seed42):
         best = oracle(seed42)
         removed = [u for u in best.order[1:-1] if seed42.nodes[u].kind is NodeKind.FLEXIBLE][:2]

@@ -188,6 +188,20 @@ class TestSaveLoad:
         with pytest.raises(InstanceFormatError, match=token):
             load(p)
 
+    @pytest.mark.parametrize(
+        "literal, match",
+        [("1e999", "1e999"), ("-1e999", "-1e999"), ("1" + "0" * 400, "too large"), ("9" * 5000, "digits")],
+        ids=["float", "negative-float", "int-400-digits", "int-5000-digits"],
+    )
+    def test_overflowing_number_literal_is_format_error(self, tmp_path, seed42, literal, match):
+        p = tmp_path / "inst.json"
+        save(seed42, p)
+        doc = json.loads(p.read_text())
+        doc["dist"][1][2] = doc["k_max"] = "LITERAL"
+        p.write_text(json.dumps(doc).replace('"LITERAL"', literal))
+        with pytest.raises(InstanceFormatError, match=match):
+            load(p)
+
     def test_non_integer_minutes_rejected_on_save(self, tmp_path, seed42):
         from dataclasses import replace
 

@@ -1,4 +1,6 @@
+import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -18,13 +20,16 @@ from evroute import (
     alns,
     bfd_initial,
     generate,
+    hybrid_dispatch,
     oracle,
     pheromone_update,
     solve_completion,
     tabu_search,
     validate,
 )
-from evroute.meta import PHEROMONE_FLOOR, _repair_constructive, _removable
+from evroute import meta
+from evroute.errors import NoSolutionFoundError
+from evroute.meta import PHEROMONE_FLOOR, _repair_constructive, _removable, _RunMemo
 
 from conftest import SEED42_ORACLE_OBJECTIVE
 
@@ -110,7 +115,7 @@ class TestAlns:
             removed = sorted(int(u) for u in rng.choice(removable, size=3, replace=False))
             base = [u for u in start.order if u not in set(removed)]
             exact = solve_completion(seed42, base, removed)
-            constructive = _repair_constructive(seed42, seed42.weights, base, removed)
+            constructive = _repair_constructive(_RunMemo(seed42, seed42.weights), base, removed)
             if constructive is None:
                 continue
             assert exact is not None
@@ -241,3 +246,140 @@ class TestAco:
         a = aco(seed42, params=p, rng_seed=9)
         b = aco(seed42, params=p, rng_seed=9)
         assert a.order == b.order and a.objective == b.objective
+
+
+class TestSearchTrace:
+    def test_round_trip_keeps_order_and_types(self):
+        shared = [0.5, 0.5]
+        expected = [
+            {"kind": "dispatch", "solver": "alns", "projected_aco_s": math.inf},
+            {"kind": "repair", "iteration": 0, "operator": "random", "probabilities": shared,
+             "weights": [1.0, 1.0], "accepted": True, "feasible": False},
+            {"kind": "exact_repair_timeout", "iteration": 1, "removed": 4},
+            {"kind": "repair", "iteration": 1, "operator": "exactMip", "probabilities": shared,
+             "weights": [1.0, 1.0], "accepted": False, "feasible": True},
+            {"kind": "dispatch", "solver": "exact", "status": "optimal"},
+            {"kind": "exact_repair_timeout", "iteration": 2, "removed": 5},
+            {"kind": "dispatch", "solver": "ts"},
+            {"kind": "move", "move": Move("insert", 2, 1), "tabu": False, "objective": 0.25},
+            # a later value that the column's first type cannot hold as given
+            {"kind": "mixed", "value": 1},
+            {"kind": "mixed", "value": 2.5},
+            {"kind": "mixed", "value": True},
+            {"kind": "mixed", "value": 2**70},
+            {"kind": "flag", "value": True},
+            {"kind": "flag", "value": 0},
+        ]
+        trace = SearchTrace()
+        for event in expected:
+            trace.record(event["kind"], **{k: v for k, v in event.items() if k != "kind"})
+        for objective in (3.0, 2.0, 2.0):
+            trace.note_best(objective)
+
+        got = trace.events
+        assert got == expected
+        assert [[(k, type(v)) for k, v in e.items()] for e in got] == [
+            [(k, type(v)) for k, v in e.items()] for e in expected
+        ]
+        assert trace.best == [(0, 3.0), (1, 2.0), (2, 2.0)]
+        # each view is rebuilt: changing it leaves the record as it was
+        got[1]["probabilities"].append(1.0)
+        assert trace.events[3]["probabilities"] == [0.5, 0.5]
+        assert trace.events == expected
+
+    def test_solver_traces_serialise_to_json(self, seed42):
+        inst = generate(GenConfig(seed=1, event_count=16, max_days=2))
+        runs = [
+            lambda t: tabu_search(seed42, params=TsParams(iterations=10), trace=t),
+            lambda t: alns(seed42, params=AlnsParams(iterations=30), rng_seed=1, trace=t),
+            lambda t: aco(seed42, params=AcoParams(iterations=5), rng_seed=1, trace=t),
+            lambda t: hybrid_dispatch(seed42, trace=t),
+            lambda t: hybrid_dispatch(inst, trace=t, ts_params=TsParams(iterations=3)),
+        ]
+        for run in runs:
+            trace = SearchTrace()
+            run(trace)
+            assert trace.events
+            json.dumps({"best": trace.best, "events": trace.events})
+
+
+class _Recompute(_RunMemo):
+    """Pass-through stand-in for the run memo: evaluates every request."""
+
+    def assemble(self, order):
+        return meta.assemble_schedule(order, self.inst, self.weights)
+
+    def repair(self, key, compute):
+        return compute()
+
+
+class TestRunMemo:
+    CONFIGS = [(1, 6, 1), (2, 7, 1), (3, 8, 1), (4, 10, 2), (5, 12, 3), (6, 14, 3)]
+
+    @staticmethod
+    def _runs(inst):
+        """Every solver once.  Small removal sets make ALNS draw repeated
+        repairs; at two removed nodes it runs the completion search, beyond
+        that the constructive fallback."""
+        out = []
+        for solve in (
+            lambda t: tabu_search(inst, params=TsParams(iterations=25), trace=t),
+            lambda t: alns(inst, params=AlnsParams(iterations=60, dod_static=0.3,
+                                                   exact_repair_max_removed=2), rng_seed=3, trace=t),
+            lambda t: aco(inst, params=AcoParams(iterations=8), rng_seed=3, trace=t),
+        ):
+            trace = SearchTrace()
+            try:
+                sched = solve(trace)
+            except NoSolutionFoundError:
+                sched = None
+            out.append((sched, trace.best, trace.events))
+        return out
+
+    @pytest.mark.parametrize("seed, events, days", CONFIGS)
+    def test_memo_leaves_every_output_unchanged(self, monkeypatch, seed, events, days):
+        inst = generate(GenConfig(seed=seed, event_count=events, max_days=days))
+        remembered = self._runs(inst)
+        monkeypatch.setattr(meta, "_RunMemo", _Recompute)
+        assert self._runs(inst) == remembered
+
+    def test_alns_remembered_repairs_equal_fresh_ones(self, seed42, monkeypatch):
+        # a stale repair is rarely accepted, so equal outputs alone would
+        # not notice a key that misses part of what the repair depends on
+        outcomes = Counter()
+
+        class Checked(_RunMemo):
+            def repair(self, key, compute):
+                remembered = key in self._seen
+                got = super().repair(key, compute)
+                outcomes[remembered, got == compute()] += 1
+                return got
+
+        monkeypatch.setattr(meta, "_RunMemo", Checked)
+        alns(seed42, params=AlnsParams(iterations=100), rng_seed=1)
+        assert outcomes[True, True] > 0
+        assert outcomes[True, False] == outcomes[False, False] == 0
+
+    def test_tabu_search_assembles_each_order_once(self, seed42, monkeypatch):
+        assembled = Counter()
+        passed = Counter()
+        real_assemble = meta.assemble_schedule
+        real_respects = meta.respects_anchor_order
+
+        def counting_assemble(order, inst, weights=None):
+            assembled[tuple(order)] += 1
+            return real_assemble(order, inst, weights)
+
+        def counting_respects(order, inst):
+            ok = real_respects(order, inst)
+            if ok:
+                passed[tuple(order)] += 1
+            return ok
+
+        monkeypatch.setattr(meta, "assemble_schedule", counting_assemble)
+        monkeypatch.setattr(meta, "respects_anchor_order", counting_respects)
+        tabu_search(seed42, params=TsParams(iterations=200))
+        assert max(assembled.values()) == 1
+        assert set(assembled) == set(passed)
+        # the search revisits orders, so the memo saves assemblies
+        assert sum(passed.values()) > 2 * len(assembled)
