@@ -66,7 +66,6 @@ class SolverReport:
     quality: float | None
     wall_time_ms: float
     status: str
-    iteration_trace: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
         if self.quality is not None and self.quality > 1.0 + 1e-9:
@@ -141,23 +140,21 @@ def hybrid_dispatch(
 
 
 def run_solver(solver: str, inst: Instance, limit: float, rng_seed: int):
-    trace = SearchTrace()
     start = time.perf_counter()
     sched = None
     status = "feasible"
-    pairs: tuple[tuple[int, float], ...] = ()
     try:
         if solver == "exact":
             res = solve_exact(inst, BnBConfig(time_limit=limit))
-            sched, status, pairs = res.schedule, res.status.value, res.incumbents
+            sched, status = res.schedule, res.status.value
         elif solver == "ts":
-            sched = tabu_search(inst, rng_seed=rng_seed, trace=trace)
+            sched = tabu_search(inst, rng_seed=rng_seed)
         elif solver == "alns":
-            sched = alns(inst, rng_seed=rng_seed, trace=trace)
+            sched = alns(inst, rng_seed=rng_seed)
         elif solver == "aco":
-            sched = aco(inst, rng_seed=rng_seed, trace=trace)
+            sched = aco(inst, rng_seed=rng_seed)
         elif solver == "hybrid":
-            sched = hybrid_dispatch(inst, budget=limit, rng_seed=rng_seed, trace=trace)
+            sched = hybrid_dispatch(inst, budget=limit, rng_seed=rng_seed)
             status = "feasible" if sched is not None else "infeasible"
         else:
             raise ValueError(f"unknown solver id {solver!r}")
@@ -166,9 +163,7 @@ def run_solver(solver: str, inst: Instance, limit: float, rng_seed: int):
     except NoSolutionFoundError:
         status = "noSolutionFound"
     wall_ms = (time.perf_counter() - start) * 1000.0
-    if not pairs:
-        pairs = tuple(trace.best)
-    return sched, status, pairs, wall_ms
+    return sched, status, wall_ms
 
 
 def _fmt(x) -> str:
@@ -212,14 +207,12 @@ def run_benchmark(cfg: BenchConfig) -> tuple[Path, Path]:
                     known = [r[0].objective for r in results.values() if r[0] is not None]
                     reference = min(known) if known else None
                 for solver in sorted(cfg.solvers):
-                    sched, status, pairs, wall_ms = results[solver]
+                    sched, status, wall_ms = results[solver]
                     obj = None if sched is None else sched.objective
                     q = None
                     if obj is not None and reference is not None:
                         q = quality(obj, min(reference, obj), shift)
-                    rows.append(
-                        (SolverReport(solver, seed, size, obj, q, wall_ms, status, pairs), shift)
-                    )
+                    rows.append((SolverReport(solver, seed, size, obj, q, wall_ms, status), shift))
         with runs_path.open("w", encoding="utf-8", newline="") as fh:
             wr = csv.writer(fh, lineterminator="\n")
             wr.writerow(RUN_COLUMNS)

@@ -3,7 +3,8 @@
 Subcommands: ``gen`` writes instance files, ``solve`` runs one solver on one
 instance and emits a one-row report CSV, ``bench`` runs the ensemble
 harness, ``lp`` writes the Big-M linear model text.  Exit codes: 0 success,
-1 infeasible, 2 usage error, 3 internal error.
+1 infeasible, 2 usage error, 3 internal error (a ``solve`` schedule that
+fails validation included: its violations go to stderr, no row is written).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bench import BenchConfig, SOLVER_IDS, run_benchmark, run_solver
-from .core import normalize_weights
+from .core import normalize_weights, validate
 from .errors import EvrouteError, NoInitialSolutionError, NoSolutionFoundError
 from .exact import linearize
 from .gen import GenConfig, generate, load, save
@@ -111,7 +112,13 @@ def _cmd_solve(args) -> int:
         inst = replace(inst, epsilon=args.epsilon)
     if args.weights is not None:
         inst = replace(inst, weights=normalize_weights(inst, args.weights))
-    sched, status, _, wall_ms = run_solver(args.solver, inst, args.time_limit, args.seed)
+    sched, status, wall_ms = run_solver(args.solver, inst, args.time_limit, args.seed)
+    violations = [] if sched is None else validate(sched, inst)
+    if violations:
+        print(f"error: the {args.solver} schedule fails validation:", file=sys.stderr)
+        for v in violations:
+            print(f"  {v.constraint_id.value} at {v.location}: {v.detail}", file=sys.stderr)
+        return EXIT_INTERNAL
     header = "solver,seed,n_events,objective,status,stops,order,wall_time_ms"
     if sched is None:
         row = f"{args.solver},{args.seed},{inst.event_count},,{status},,,{wall_ms:.6f}"

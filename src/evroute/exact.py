@@ -205,10 +205,10 @@ class _Search:
             + self.inst.epsilon * self.a0_floor
         )
 
-    def run(self, base, removed, prune: bool = True) -> bool:
+    def run(self, base, removed) -> bool:
         """Search every order that keeps ``base`` as a subsequence and places
         each ``removed`` node before the end node.  Returns False when the
-        deadline cut the search short.  ``prune=False`` disables all cuts.
+        deadline cut the search short.
 
         Arrivals are propagated without charging: charging only tightens the
         timetable (walks extend departures and separator lower bounds, and
@@ -241,19 +241,17 @@ class _Search:
                 cands.insert(0, nxt)
             for v in cands:
                 r = rank.get(v)
-                if prune and r is not None and r != anchors:
+                if r is not None and r != anchors:
                     continue
                 a_v = _time_step(inst, last, a_last, 0.0, v, 0.0, a0)
                 if a_v is None:
-                    if prune:
-                        continue
-                    a_v = a_last  # bound-only placeholder; leaves re-propagate
+                    continue
                 dist_v = dist_so_far + dist[last][v]
                 sep_v = sep_sum
                 if v in day_ref:
                     ref = day_ref[v]
                     sep_v = sep_sum + (a_v - (a0 if ref is None else ref))
-                if prune and self.bound(dist_v + remaining_after, sep_v) >= self.best_obj - _BOUND_TOL:
+                if self.bound(dist_v + remaining_after, sep_v) >= self.best_obj - _BOUND_TOL:
                     continue
                 path.append(v)
                 anchors_v = anchors if r is None else anchors + 1
@@ -281,7 +279,6 @@ def solve_exact(
     inst: Instance,
     cfg: BnBConfig | None = None,
     weights: Weights | None = None,
-    prune: bool = True,
 ) -> ExactResult:
     """Depth-first branch-and-bound over visit orders.
 
@@ -293,8 +290,7 @@ def solve_exact(
     subset enumeration, while the chargeable node count stays within
     :data:`LEAF_ENUM_MAX_CHARGEABLE`, otherwise by the greedy planner, in
     which case an exhausted tree reports ``heuristicLeaf`` instead of
-    ``optimal``.  ``prune=False`` disables all three cuts (soundness testing
-    only).
+    ``optimal``.
     """
     cfg = BnBConfig() if cfg is None else cfg
     w = inst.weights if weights is None else weights
@@ -311,7 +307,7 @@ def solve_exact(
             pass
     search.offer(seed)
 
-    exhausted = search.run([0, inst.n - 1], range(1, inst.n - 1), prune)
+    exhausted = search.run([0, inst.n - 1], range(1, inst.n - 1))
     if not exhausted:
         status = SolveStatus.TIME_LIMIT
     elif search.best is None:

@@ -127,36 +127,24 @@ class AcoParams:
             raise ValueError("tau0 must be positive")
 
 
-_TYPECODES = {bool: "b", int: "q", float: "d"}
-
-
-def _column_values(column) -> list:
-    if isinstance(column, list):
-        return column
-    if column.typecode == "b":
-        return [bool(v) for v in column]
-    return column.tolist()
-
-
 class SearchTrace:
     """Compact in-memory record of one solver run.
 
     Solvers write through :meth:`note_best`, once per iteration in
     iteration order, and :meth:`record`, once per event.  The best
-    objectives sit in one ``array('d')``.  Events sit in columns, one set
-    per event shape (kind plus field names); a column of bools, ints or
-    floats is a typed array and any other column a list, so a long run
-    keeps no dict or tuple per iteration.  The read-only views
-    :attr:`best` and :attr:`events` rebuild ``[(iteration, objective),
-    ...]`` and ``[{"kind": kind, **fields}, ...]`` in recording order, every
-    field in the type it was recorded with.
+    objectives sit in one ``array('d')``; each event's shape (kind plus
+    field names) is stored once, and its field values go onto one flat
+    list, so a long run keeps no dict or tuple per event.  The read-only
+    views :attr:`best` and :attr:`events` rebuild ``[(iteration,
+    objective), ...]`` and ``[{"kind": kind, **fields}, ...]`` in recording
+    order, every field as it was recorded.
     """
 
     def __init__(self):
         self._best = array("d")
         self._shapes: dict[tuple[str, tuple[str, ...]], int] = {}
-        self._columns: list[list] = []   # per shape, one column per field
-        self._shape_of = array("I")      # per event, the index of its shape
+        self._shape_of = array("I")  # per event, the index of its shape
+        self._values: list = []      # every event's field values, in order
 
     def note_best(self, objective: float) -> None:
         """Append the best objective after the next iteration."""
@@ -165,26 +153,8 @@ class SearchTrace:
     def record(self, kind: str, **fields) -> None:
         """Append one event of ``kind`` with ``fields``."""
         shape = (kind, tuple(fields))
-        s = self._shapes.get(shape)
-        if s is None:
-            s = self._shapes[shape] = len(self._columns)
-            self._columns.append(
-                [array(_TYPECODES[type(v)]) if type(v) in _TYPECODES else [] for v in fields.values()]
-            )
-        columns = self._columns[s]
-        for k, v in enumerate(fields.values()):
-            column = columns[k]
-            if not isinstance(column, list):
-                if _TYPECODES.get(type(v)) == column.typecode:
-                    try:
-                        column.append(v)
-                        continue
-                    except OverflowError:
-                        pass
-                # a value the typed column cannot hold as recorded
-                column = columns[k] = _column_values(column)
-            column.append(v)
-        self._shape_of.append(s)
+        self._shape_of.append(self._shapes.setdefault(shape, len(self._shapes)))
+        self._values.extend(fields.values())
 
     @property
     def best(self) -> list[tuple[int, float]]:
@@ -193,16 +163,12 @@ class SearchTrace:
     @property
     def events(self) -> list[dict]:
         shapes = list(self._shapes)
-        columns = [[_column_values(c) for c in cols] for cols in self._columns]
-        cursor = [0] * len(shapes)
+        values = iter(self._values)
         out = []
         for s in self._shape_of:
             kind, names = shapes[s]
-            i = cursor[s]
-            cursor[s] = i + 1
             event = {"kind": kind}
-            for name, column in zip(names, columns[s]):
-                v = column[i]
+            for name, v in zip(names, values):  # names first: draws len(names) values
                 # consecutive events may share one recorded list; hand out copies
                 event[name] = v.copy() if type(v) is list else v
             out.append(event)

@@ -1,9 +1,12 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import evroute.cli
+from evroute import bfd_initial, load
 from evroute.cli import main
 
 
@@ -83,3 +86,18 @@ def test_internal_error_exit_code(tmp_path):
     p = tmp_path / "garbage.json"
     p.write_text("{not json")
     assert main(["solve", str(p)]) == 3
+
+
+def test_solve_rejects_a_schedule_that_fails_validation(instance_path, tmp_path, monkeypatch, capsys):
+    sched = bfd_initial(load(instance_path))
+    ranges = list(sched.ranges)
+    ranges[1] += 1.0
+    broken = replace(sched, ranges=tuple(ranges))
+    monkeypatch.setattr(evroute.cli, "run_solver", lambda *args: (broken, "feasible", 1.0))
+    out = tmp_path / "run.csv"
+    rc = main(["solve", str(instance_path), "--solver", "ts", "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rangeChain at" in captured.err

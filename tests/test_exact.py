@@ -21,6 +21,7 @@ from evroute import (
     validate,
 )
 from evroute.errors import InstanceTooLargeError
+from evroute.exact import ORACLE_MAX_NODES
 
 from conftest import SEED42_ORACLE_OBJECTIVE, SEED42_ORACLE_ORDER, option, wide_node
 
@@ -120,12 +121,13 @@ class TestSolveExact:
         assert objs == sorted(objs, reverse=True)
 
     def test_pruning_soundness(self):
+        # every cut is live; the exhaustive oracle is the unpruned reference
         for seed in range(1, 9):
             inst = generate(GenConfig(seed=seed, event_count=2 + seed % 3, max_days=1))
-            fast = solve_exact(inst, prune=True)
-            slow = solve_exact(inst, prune=False)
-            assert fast.status is SolveStatus.OPTIMAL and slow.status is SolveStatus.OPTIMAL
-            assert fast.objective == pytest.approx(slow.objective, abs=1e-12)
+            assert inst.n <= ORACLE_MAX_NODES
+            res = solve_exact(inst)
+            assert res.status is SolveStatus.OPTIMAL
+            assert res.objective == pytest.approx(oracle(inst).objective, abs=1e-12)
 
     def test_incumbent_seed_is_used(self, seed42):
         seed_sched = bfd_initial(seed42)

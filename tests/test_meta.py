@@ -261,8 +261,9 @@ class TestSearchTrace:
             {"kind": "dispatch", "solver": "exact", "status": "optimal"},
             {"kind": "exact_repair_timeout", "iteration": 2, "removed": 5},
             {"kind": "dispatch", "solver": "ts"},
+            {"kind": "stop"},
             {"kind": "move", "move": Move("insert", 2, 1), "tabu": False, "objective": 0.25},
-            # a later value that the column's first type cannot hold as given
+            # values of different types under one event shape
             {"kind": "mixed", "value": 1},
             {"kind": "mixed", "value": 2.5},
             {"kind": "mixed", "value": True},

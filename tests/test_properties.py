@@ -4,7 +4,9 @@ Examples are derived from a fixed seed (``derandomize``), so every run of
 the suite checks the same instances.
 """
 
+import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,20 +14,28 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from evroute import (
+    AcoParams,
+    AlnsParams,
     GenConfig,
     NodeKind,
     SolveStatus,
+    TsParams,
+    aco,
+    alns,
     assemble_schedule,
     bfd_initial,
     generate,
+    hybrid_dispatch,
     load,
     oracle,
     respects_anchor_order,
     save,
     solve_completion,
     solve_exact,
+    tabu_search,
+    validate,
 )
-from evroute.errors import GenerationFailedError
+from evroute.errors import GenerationFailedError, NoSolutionFoundError
 
 PROPERTY_SETTINGS = settings(
     max_examples=50,
@@ -101,3 +111,52 @@ def test_load_save_round_trip(inst):
         path = Path(tmp) / "inst.json"
         save(inst, path)
         assert load(path) == inst
+
+
+@PROPERTY_SETTINGS
+@given(instances(max_nodes=10), st.integers(0, 2**16))
+def test_every_solver_returns_a_schedule_that_validates(inst, rng_seed):
+    results = [
+        solve_exact(inst).schedule,
+        tabu_search(inst, params=TsParams(iterations=5)),
+        alns(inst, params=AlnsParams(iterations=10), rng_seed=rng_seed),
+        hybrid_dispatch(inst, rng_seed=rng_seed),
+    ]
+    try:
+        results.append(aco(inst, params=AcoParams(ants=5, iterations=3), rng_seed=rng_seed))
+    except NoSolutionFoundError:
+        pass
+    for sched in results:
+        assert validate(sched, inst) == []
+
+
+def _with_entry(sched, field, u, value):
+    entries = list(getattr(sched, field))
+    entries[u] = value
+    return replace(sched, **{field: tuple(entries)})
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_a_corrupted_schedule_always_yields_a_violation(data):
+    inst = data.draw(instances(max_nodes=10))
+    sched = bfd_initial(inst)
+    assert validate(sched, inst) == []
+    n = inst.n
+    corruption = data.draw(st.sampled_from(["nan arrival", "range", "charge flag", "duplicate", "end gain"]))
+    u = data.draw(st.integers(0, n - 1))
+    if corruption == "nan arrival":
+        bad = _with_entry(sched, "arrival", u, math.nan)
+    elif corruption == "range":
+        shift = data.draw(st.sampled_from([-1e-3, 1e-3]))
+        bad = _with_entry(sched, "ranges", u, sched.ranges[u] + shift)
+    elif corruption == "charge flag":
+        bad = _with_entry(sched, "charge", u, 2)
+    elif corruption == "duplicate":
+        i = data.draw(st.integers(1, len(sched.order) - 2))
+        order = list(sched.order)
+        order.insert(data.draw(st.integers(1, len(order) - 1)), order[i])
+        bad = replace(sched, order=tuple(order))
+    else:
+        bad = _with_entry(sched, "gain", n - 1, data.draw(st.floats(1e-3, 100.0)))
+    assert validate(bad, inst) != []
