@@ -20,6 +20,7 @@ import numpy as np
 
 TIME_TOL = 1e-6    # minutes; strict "<" over continuous time is checked as "<= tol"
 RANGE_TOL = 1e-6   # kilometers
+OBJECTIVE_TOL = 1e-9  # relative to max(1, |objective|)
 DEFAULT_EPSILON = 1e-3
 _DEGENERATE_SPAN = 1e-9
 
@@ -48,6 +49,7 @@ class ConstraintId(str, enum.Enum):
     MAX_RANGE = "maxRange"
     RANGE_CHAIN = "rangeChain"
     DOMAIN = "domain"
+    OBJECTIVE = "objective"
 
 
 @dataclass(frozen=True)
@@ -362,11 +364,13 @@ def evaluate_objective(s: Schedule, inst: Instance, weights: Weights | None = No
 def validate(s: Schedule, inst: Instance) -> list[Violation]:
     """Check every model constraint and report all violations found.
 
-    Returns an empty list exactly when the schedule is feasible.  Checks are
-    exhaustive rather than first-found so fuzz failures stay diagnosable.
-    Every check is written as ``not <holds>``, so a NaN in the schedule or
-    the instance fails it instead of passing silently; non-finite schedule
-    entries and used edges are also reported as domain violations.
+    Returns an empty list exactly when the schedule is feasible and its
+    reported objective is the objective of its own vectors under
+    ``inst.weights``.  Checks are exhaustive rather than first-found so
+    fuzz failures stay diagnosable.  Every check is written as
+    ``not <holds>``, so a NaN in the schedule or the instance fails it
+    instead of passing silently; non-finite schedule entries and used edges
+    are also reported as domain violations.
     """
     out: list[Violation] = []
     n = inst.n
@@ -385,10 +389,12 @@ def validate(s: Schedule, inst: Instance) -> list[Violation]:
     # incoming and one outgoing edge, which holds iff order is a permutation
     # from the start node to the end node.
     counts = [0] * n
+    known_ids = True
     for u in order:
         if 0 <= u < n:
             counts[u] += 1
         else:
+            known_ids = False
             bad(ConstraintId.FLOW, f"node {u}", "unknown node id in order", 1.0)
     for u, c in enumerate(counts):
         if c != 1:
@@ -479,6 +485,12 @@ def validate(s: Schedule, inst: Instance) -> list[Violation]:
         dev = abs(s.ranges[v] - expect)
         if not dev <= RANGE_TOL:
             bad(ConstraintId.RANGE_CHAIN, f"edge {u}->{v}", f"range {s.ranges[v]:.6f} != propagated {expect:.6f}", dev)
+
+    if len(order) > 0 and known_ids:
+        obj = objective_value(order, s.arrival, s.charge, s.ranges, inst)
+        dev = abs(s.objective - obj)
+        if not dev <= OBJECTIVE_TOL * max(1.0, abs(obj)):
+            bad(ConstraintId.OBJECTIVE, "schedule", f"objective {s.objective!r} != recomputed {obj!r}", dev)
     return out
 
 

@@ -14,6 +14,7 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -207,16 +208,40 @@ class _RunMemo:
         return sched
 
 
-def _moves(n: int) -> list[Move]:
+def _moves(n: int) -> list[tuple[Move, int, int]]:
+    """Every swap and insert on interior positions, each with the span of
+    positions it reorders, ``lo`` to ``hi - 1``."""
     out = []
     for i in range(1, n - 1):
         for j in range(i + 1, n - 1):
-            out.append(Move("swap", i, j))
+            out.append((Move("swap", i, j), i, j + 1))
     for i in range(1, n - 1):
         for j in range(1, n - 1):
             if i != j:
-                out.append(Move("insert", i, j))
+                out.append((Move("insert", i, j), min(i, j), max(i, j) + 1))
     return out
+
+
+def _admissible_moves(
+    order: Sequence[int], rank: dict[int, int], moves: Sequence[tuple[Move, int, int]]
+) -> list[Move]:
+    """The moves of ``moves`` (from :func:`_moves`) whose applied order keeps
+    the anchored order, given that ``order`` keeps it.
+
+    A move shifts every node of its span by one place except the moving
+    ones: both ends of a swap, position ``i`` of an insert.  So the anchored
+    order breaks exactly when a moving node is anchored and the span holds
+    another anchored node, which prefix counts tell in O(1) per move
+    (Savelsbergh, ORSA J. Computing 4(2), 1992).
+    """
+    anchored = [u in rank for u in order]
+    pre = list(accumulate(anchored, initial=0))
+    return [
+        m
+        for m, lo, hi in moves
+        if pre[hi] - pre[lo] < 2
+        or not (anchored[m.i] or m.kind == "swap" and anchored[m.j])
+    ]
 
 
 def tabu_search(
@@ -250,11 +275,10 @@ def tabu_search(
     moves = _moves(len(current.order))
     for _ in range(p.iterations):
         chosen: tuple[Move, Schedule, bool] | None = None
-        for move in moves:
-            cand_order = move.apply(current.order)
-            if not respects_anchor_order(cand_order, inst):
-                continue
-            sched = memo.assemble(cand_order)
+        # current.order keeps the anchored order: BFD built it, or it passed
+        # this screen
+        for move in _admissible_moves(current.order, inst.anchor_rank, moves):
+            sched = memo.assemble(move.apply(current.order))
             if sched is None:
                 continue
             is_tabu = move in tabu[move.kind]
@@ -284,11 +308,28 @@ def _removable(inst: Instance) -> list[int]:
 
 
 def _valid_positions(order: list[int], node: int, inst: Instance) -> list[int]:
-    out = []
-    for p in range(1, len(order) + 1 - 1):
-        if respects_anchor_order(order[:p] + [node] + order[p:], inst):
-            out.append(p)
-    return out
+    """Slots ``p`` in ``1..len(order) - 1`` at which inserting ``node``, which
+    ``order`` does not hold, before ``order[p]`` keeps the anchored order.
+
+    In an order that keeps it the anchored nodes sit in rank order, so the
+    slots form one run: after the last anchored node ranked below ``node``,
+    up to the first ranked above it.  An order that breaks it has none.
+    """
+    if not respects_anchor_order(order, inst):
+        return []
+    rank = inst.anchor_rank
+    r = rank.get(node)
+    lo, hi = 1, len(order) - 1
+    if r is not None:
+        for k, u in enumerate(order):
+            ru = rank.get(u)
+            if ru is None:
+                continue
+            if ru > r:
+                hi = k
+                break
+            lo = k + 1
+    return list(range(lo, hi + 1))
 
 
 def _repair_random(memo, base, removed, rng):
@@ -517,8 +558,21 @@ def _construct_route(inst, anchored, tau, eta, p, rng):
     current = 0
     a0 = a_cur = max(0.0, nodes[0].a_min)
     next_anchor = 0
+    tops = [nd.a_max - nd.duration + 1e-6 for nd in nodes]
     for _ in range(n - 2):
         pending = anchored[next_anchor] if next_anchor < len(anchored) else None
+        # arrivals never decrease along a route, so a candidate whose
+        # departure outruns any other unvisited window top strands that
+        # node; the two tightest tops decide it for every candidate
+        top1 = top2 = math.inf
+        tightest = None
+        for u in range(1, n - 1):
+            if not visited[u]:
+                t = tops[u]
+                if t < top1:
+                    top1, top2, tightest = t, top1, u
+                elif t < top2:
+                    top2 = t
         cands = []
         arrivals = []
         for v in range(1, n - 1):
@@ -533,19 +587,9 @@ def _construct_route(inst, anchored, tau, eta, p, rng):
             if pending is not None and v != pending:
                 if _time_step(inst, v, a_v, 0.0, pending, 0.0, a0) is None:
                     continue
-            # arrivals never decrease along a route, so a candidate whose
-            # departure outruns any unvisited window strands that node
             node_v = nodes[v]
             dep_v = node_v.a_max if node_v.kind is NodeKind.SEPARATOR else a_v + node_v.duration
-            stranded = False
-            for u in range(1, n - 1):
-                if visited[u] or u == v:
-                    continue
-                nu = nodes[u]
-                if dep_v > nu.a_max - nu.duration + 1e-6:
-                    stranded = True
-                    break
-            if stranded:
+            if dep_v > (top2 if v == tightest else top1):
                 continue
             cands.append(v)
             arrivals.append(a_v)

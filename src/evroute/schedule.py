@@ -264,7 +264,9 @@ def assemble_schedule(
     """Plan charging, propagate times and ranges and price the result.
 
     Returns None when the order admits no feasible schedule.  A returned
-    schedule always passes :func:`evroute.core.validate`.
+    schedule passes :func:`evroute.core.validate` against the instance that
+    carries the weights used: ``inst`` itself, or
+    ``replace(inst, weights=weights)`` when ``weights`` is given.
     """
     w = inst.weights if weights is None else weights
     planned = plan_charging(order, inst, w)

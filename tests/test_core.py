@@ -149,6 +149,20 @@ class TestValidate:
                     v.constraint_id is ConstraintId.DOMAIN and v.location == f"node {u}" for v in found
                 ), (field, x)
 
+    def test_wrong_objective_is_reported(self, seed42):
+        s = assemble_schedule(bfd_initial(seed42).order, seed42)
+        assert validate(replace(s, objective=s.objective * (1 + 1e-12)), seed42) == []
+        for wrong in (s.objective - 1.0, s.objective * (1 + 1e-6), math.nan):
+            found = validate(replace(s, objective=wrong), seed42)
+            assert [v.constraint_id for v in found] == [ConstraintId.OBJECTIVE], wrong
+
+    def test_objective_is_checked_under_the_instance_weights(self, seed42):
+        w = normalize_weights(seed42, (0.2, 0.3, 0.5))
+        s = assemble_schedule(bfd_initial(seed42).order, seed42, w)
+        assert validate(s, replace(seed42, weights=w)) == []
+        found = validate(s, seed42)
+        assert [v.constraint_id for v in found] == [ConstraintId.OBJECTIVE]
+
 
 class TestFiniteInput:
     @pytest.mark.parametrize("field", ["a_min", "a_max", "duration", "fixed_arrival"])

@@ -363,24 +363,22 @@ class TestRunMemo:
 
     def test_tabu_search_assembles_each_order_once(self, seed42, monkeypatch):
         assembled = Counter()
-        passed = Counter()
+        looked_up = Counter()
         real_assemble = meta.assemble_schedule
-        real_respects = meta.respects_anchor_order
+        real_lookup = _RunMemo.assemble
 
         def counting_assemble(order, inst, weights=None):
             assembled[tuple(order)] += 1
             return real_assemble(order, inst, weights)
 
-        def counting_respects(order, inst):
-            ok = real_respects(order, inst)
-            if ok:
-                passed[tuple(order)] += 1
-            return ok
+        def counting_lookup(memo, order):
+            looked_up[tuple(order)] += 1
+            return real_lookup(memo, order)
 
         monkeypatch.setattr(meta, "assemble_schedule", counting_assemble)
-        monkeypatch.setattr(meta, "respects_anchor_order", counting_respects)
+        monkeypatch.setattr(_RunMemo, "assemble", counting_lookup)
         tabu_search(seed42, params=TsParams(iterations=200))
         assert max(assembled.values()) == 1
-        assert set(assembled) == set(passed)
+        assert set(assembled) == set(looked_up)
         # the search revisits orders, so the memo saves assemblies
-        assert sum(passed.values()) > 2 * len(assembled)
+        assert sum(looked_up.values()) > 2 * len(assembled)

@@ -36,6 +36,7 @@ from evroute import (
     validate,
 )
 from evroute.errors import GenerationFailedError, NoSolutionFoundError
+from evroute.meta import _admissible_moves, _moves, _valid_positions
 
 PROPERTY_SETTINGS = settings(
     max_examples=50,
@@ -160,3 +161,40 @@ def test_a_corrupted_schedule_always_yields_a_violation(data):
     else:
         bad = _with_entry(sched, "gain", n - 1, data.draw(st.floats(1e-3, 100.0)))
     assert validate(bad, inst) != []
+
+
+@st.composite
+def orders(draw, inst, keep_anchor_order):
+    """A full visit order of ``inst``; with ``keep_anchor_order`` its fixed
+    events and separators sit in rank order on the slots they drew."""
+    interior = draw(st.permutations(range(1, inst.n - 1)))
+    if keep_anchor_order:
+        rank = inst.anchor_rank
+        slots = [k for k, u in enumerate(interior) if u in rank]
+        for k, u in zip(slots, sorted((u for u in interior if u in rank), key=rank.get)):
+            interior[k] = u
+    return [0, *interior, inst.n - 1]
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_tabu_screen_admits_exactly_the_anchor_respecting_moves(data):
+    inst = data.draw(instances(max_nodes=12))
+    order = tuple(data.draw(orders(inst, keep_anchor_order=True)))
+    assert respects_anchor_order(order, inst)
+    moves = _moves(inst.n)
+    expected = [m for m, _, _ in moves if respects_anchor_order(m.apply(order), inst)]
+    assert _admissible_moves(order, inst.anchor_rank, moves) == expected
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_valid_positions_match_brute_force(data):
+    inst = data.draw(instances(max_nodes=12))
+    order = data.draw(orders(inst, keep_anchor_order=data.draw(st.booleans())))
+    node = order.pop(data.draw(st.integers(1, len(order) - 2)))
+    # the reference: every slot whose insertion keeps the anchored order
+    expected = [
+        p for p in range(1, len(order)) if respects_anchor_order(order[:p] + [node] + order[p:], inst)
+    ]
+    assert _valid_positions(order, node, inst) == expected
