@@ -23,12 +23,11 @@ from .core import (
 )
 from .errors import InstanceTooLargeError, NoInitialSolutionError
 from .schedule import (
+    _range_pass,
     _time_step,
     anchored_sequence,
     assemble_schedule,
     bfd_initial,
-    charge_gains,
-    propagate_ranges,
     propagate_times,
 )
 
@@ -107,8 +106,7 @@ def _best_charging(order, inst, weights, chargeable):
         timed = propagate_times(order, charge, inst)
         if not timed.feasible_times:
             continue
-        gains = charge_gains(order, charge, inst)
-        ranges, deficit = propagate_ranges(order, charge, gains, inst)
+        gains, ranges, deficit = _range_pass(order, charge, inst)
         if deficit is not None:
             continue
         obj = objective_value(order, timed.arrival, charge, ranges, inst, weights)

@@ -106,6 +106,8 @@ class AlnsParams:
             raise ValueError(f"repair_set must be a non-empty subset of {_ALL_REPAIRS}")
         if self.segment < 1:
             raise ValueError("segment must be positive")
+        if self.iterations < 0:
+            raise ValueError("iterations must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,8 @@ class AcoParams:
             raise ValueError("rho must lie in [0, 1]")
         if self.ants < 1:
             raise ValueError("at least one ant is required")
+        if self.iterations < 0:
+            raise ValueError("iterations must be non-negative")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
         if self.tau0 <= 0:

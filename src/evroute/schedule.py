@@ -119,22 +119,48 @@ def propagate_times(order: Sequence[int], charge: Sequence[int], inst: Instance)
     return TimedOrder(tuple(order), tuple(arrival), True)
 
 
+def _range_pass(
+    order: Sequence[int],
+    charge: Sequence[int],
+    inst: Instance,
+    gains: Sequence[float] | None = None,
+) -> tuple[tuple[float, ...], tuple[float, ...], int | None]:
+    """One walk of the range chain: gains, arrival ranges and first deficit.
+
+    Charge is applied before departure and capped at the battery maximum;
+    each edge then consumes its distance.  Without ``gains``, each flagged
+    station charges to the smaller of its total gain and the headroom on
+    arrival; with them, they are applied as given.
+    """
+    nodes = inst.nodes
+    dist = inst.dist_rows
+    k_max = inst.k_max
+    floor = inst.k_min - RANGE_TOL
+    end = inst.n - 1
+    capped = gains is None
+    if capped:
+        gains = [0.0] * inst.n
+    k = [math.nan] * inst.n
+    deficit = prev = None
+    cur = inst.k_start
+    for u in order:
+        if prev is not None:
+            cur = min(cur + gains[prev], k_max) - dist[prev][u]
+        prev = u
+        k[u] = cur
+        if deficit is None and cur < floor:
+            deficit = u
+        if capped and charge[u] and u != end:
+            option = nodes[u].charging
+            if option is not None:
+                gains[u] = max(0.0, min(option.max_gain, k_max - cur))
+    return tuple(gains), tuple(k), deficit
+
+
 def charge_gains(order: Sequence[int], charge: Sequence[int], inst: Instance) -> tuple[float, ...]:
     """Full capped gains for the flagged nodes: charge to the smaller of the
     station's total gain and the battery headroom on arrival."""
-    nodes = inst.nodes
-    dist = inst.dist_rows
-    n = len(nodes)
-    gains = [0.0] * n
-    cur = inst.k_start
-    last = len(order) - 1
-    for pos, u in enumerate(order):
-        node = nodes[u]
-        if charge[u] and node.charging is not None and u != n - 1:
-            gains[u] = max(0.0, min(node.charging.max_gain, inst.k_max - cur))
-        if pos < last:
-            cur = min(cur + gains[u], inst.k_max) - dist[u][order[pos + 1]]
-    return tuple(gains)
+    return _range_pass(order, charge, inst)[0]
 
 
 def propagate_ranges(
@@ -148,19 +174,45 @@ def propagate_ranges(
     Charge is applied before departure and capped at the battery maximum;
     each edge then consumes its distance.
     """
-    dist = inst.dist_rows
-    k = [math.nan] * inst.n
-    cur = inst.k_start
-    k[order[0]] = cur
-    deficit = order[0] if cur < inst.k_min - RANGE_TOL else None
-    prev = order[0]
-    for u in order[1:]:
-        cur = min(cur + gains[prev], inst.k_max) - dist[prev][u]
-        k[u] = cur
-        if deficit is None and cur < inst.k_min - RANGE_TOL:
-            deficit = u
-        prev = u
-    return tuple(k), deficit
+    _, ranges, deficit = _range_pass(order, charge, inst, gains)
+    return ranges, deficit
+
+
+def _retime(
+    order: Sequence[int],
+    charge: Sequence[int],
+    arrival: Sequence[float],
+    p: int,
+    inst: Instance,
+) -> Sequence[float] | None:
+    """Arrivals after the charge flag at ``order[p]`` flipped, or None.
+
+    ``arrival`` holds the feasible arrivals from before the flip.  The walk
+    at ``order[p]`` only moves the chain from ``p`` on, so the re-timing
+    starts there and stops at the first later arrival equal to its old one:
+    every step after it has the same inputs as before.  A flip at position 0
+    moves the route start and re-times the whole order.
+    """
+    if p == 0:
+        timed = propagate_times(order, charge, inst)
+        return timed.arrival if timed.feasible_times else None
+    walk = inst.walk
+    new = list(arrival)
+    a0 = arrival[order[0]]
+    prev = order[p - 1]
+    a_prev = arrival[prev]
+    w_prev = walk[prev] if charge[prev] else 0.0
+    for q in range(p, len(order)):
+        v = order[q]
+        w_v = walk[v] if charge[v] else 0.0
+        a_v = _time_step(inst, prev, a_prev, w_prev, v, w_v, a0)
+        if a_v is None:
+            return None
+        if q > p and a_v == arrival[v]:
+            break
+        new[v] = a_v
+        prev, a_prev, w_prev = v, a_v, w_v
+    return new
 
 
 def plan_charging(
@@ -177,13 +229,19 @@ def plan_charging(
     end-of-route charge carries weight, further stops are added while they
     improve the objective or contribute at least a tenth of the capacity.
     Returns None when deficits remain with every candidate exhausted.
+
+    The ranges come from one pass over the range chain per charge set, and
+    a trial stop re-times the order only from its own position on (see
+    :func:`_retime`); the results equal full re-propagation bit for bit.
     """
     w = inst.weights if weights is None else weights
     nodes = inst.nodes
     n = inst.n
     charge = [0] * n
-    if not propagate_times(order, charge, inst).feasible_times:
+    timed = propagate_times(order, charge, inst)
+    if not timed.feasible_times:
         return None
+    arrival = timed.arrival
     pos_of = {u: i for i, u in enumerate(order)}
     added: list[int] = []
 
@@ -200,59 +258,60 @@ def plan_charging(
         cands.sort()
         return [u for _, u in cands]
 
-    while True:
-        gains = charge_gains(order, charge, inst)
-        ranges, deficit = propagate_ranges(order, charge, gains, inst)
-        if deficit is None:
-            break
-        chosen = None
+    gains, ranges, deficit = _range_pass(order, charge, inst)
+    while deficit is not None:
         for u in ranked_candidates(ranges, pos_of[deficit]):
             charge[u] = 1
-            if propagate_times(order, charge, inst).feasible_times:
-                chosen = u
+            trial = _retime(order, charge, arrival, pos_of[u], inst)
+            if trial is not None:
+                arrival = trial
+                added.append(u)
                 break
             charge[u] = 0
-        if chosen is None:
+        else:
             return None
-        added.append(chosen)
+        gains, ranges, deficit = _range_pass(order, charge, inst)
 
     # Drop stops the remaining set already covers; removal never tightens
-    # the timetable, so only the battery needs rechecking.
+    # the timetable, so only the battery needs rechecking.  The arrivals
+    # held so far still include the dropped walks.
+    dropped = False
     for u in reversed(added):
         charge[u] = 0
-        gains = charge_gains(order, charge, inst)
-        if propagate_ranges(order, charge, gains, inst)[1] is not None:
+        trial_gains, trial_ranges, deficit = _range_pass(order, charge, inst)
+        if deficit is None:
+            gains, ranges, dropped = trial_gains, trial_ranges, True
+        else:
             charge[u] = 1
 
     if w.wc > 0:
-        while True:
-            gains = charge_gains(order, charge, inst)
-            ranges, _ = propagate_ranges(order, charge, gains, inst)
-            timed = propagate_times(order, charge, inst)
-            base = objective_value(order, timed.arrival, charge, ranges, inst, w)
-            base_total = sum(gains)
+        # Each accepted stop's arrivals, gains, ranges and objective are
+        # the next round's base; a trial re-times from the held arrivals.
+        if dropped:
+            arrival = propagate_times(order, charge, inst).arrival
+        obj = objective_value(order, arrival, charge, ranges, inst, w)
+        total = sum(gains)
+        progressed = True
+        while progressed:
             progressed = False
             for u in ranked_candidates(ranges, len(order)):
                 charge[u] = 1
-                trial_times = propagate_times(order, charge, inst)
-                if not trial_times.feasible_times:
+                trial = _retime(order, charge, arrival, pos_of[u], inst)
+                if trial is None:
                     charge[u] = 0
                     continue
-                trial_gains = charge_gains(order, charge, inst)
-                trial_ranges, _ = propagate_ranges(order, charge, trial_gains, inst)
-                trial_obj = objective_value(order, trial_times.arrival, charge, trial_ranges, inst, w)
+                trial_gains, trial_ranges, _ = _range_pass(order, charge, inst)
+                trial_obj = objective_value(order, trial, charge, trial_ranges, inst, w)
                 # Incremental charge is net of capping at later stops; it
                 # equals the end-of-route range increase by conservation.
-                incremental = sum(trial_gains) - base_total
-                if trial_obj < base or incremental >= EXTRA_STOP_FRACTION * inst.k_max:
-                    progressed = True
+                trial_total = sum(trial_gains)
+                if trial_obj < obj or trial_total - total >= EXTRA_STOP_FRACTION * inst.k_max:
+                    arrival, gains, ranges = trial, trial_gains, trial_ranges
+                    obj, total, progressed = trial_obj, trial_total, True
                 else:
                     charge[u] = 0
                 break  # only the best addable rank is considered per round
-            if not progressed:
-                break
 
-    gains = charge_gains(order, charge, inst)
     return tuple(charge), gains
 
 
@@ -274,7 +333,7 @@ def assemble_schedule(
         return None
     charge, gains = planned
     timed = propagate_times(order, charge, inst)
-    ranges, deficit = propagate_ranges(order, charge, gains, inst)
+    _, ranges, deficit = _range_pass(order, charge, inst, gains)
     if not timed.feasible_times or deficit is not None:
         return None
     obj = objective_value(order, timed.arrival, charge, ranges, inst, w)

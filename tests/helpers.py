@@ -168,6 +168,117 @@ def brute_min_stop_count(inst: Instance, order):
     return best
 
 
+def _reference_gains(order, charge, inst):
+    """Capped gains in their own pass over the range chain."""
+    gains = [0.0] * inst.n
+    cur = inst.k_start
+    last = len(order) - 1
+    for pos, u in enumerate(order):
+        node = inst.nodes[u]
+        if charge[u] and node.charging is not None and u != inst.n - 1:
+            gains[u] = max(0.0, min(node.charging.max_gain, inst.k_max - cur))
+        if pos < last:
+            cur = min(cur + gains[u], inst.k_max) - inst.dist_rows[u][order[pos + 1]]
+    return tuple(gains)
+
+
+def _reference_ranges(order, gains, inst):
+    """Arrival ranges and first deficit in a second pass over the chain."""
+    from evroute.core import RANGE_TOL
+
+    k = [math.nan] * inst.n
+    cur = inst.k_start
+    k[order[0]] = cur
+    deficit = order[0] if cur < inst.k_min - RANGE_TOL else None
+    prev = order[0]
+    for u in order[1:]:
+        cur = min(cur + gains[prev], inst.k_max) - inst.dist_rows[prev][u]
+        k[u] = cur
+        if deficit is None and cur < inst.k_min - RANGE_TOL:
+            deficit = u
+        prev = u
+    return tuple(k), deficit
+
+
+def reference_assemble(order, inst, weights=None):
+    """``assemble_schedule`` with the charging planner written plainly.
+
+    Every charge set the planner considers is priced from scratch: gains,
+    ranges, a full ``propagate_times`` and the objective, each in its own
+    pass, and each round of the end-charge loop recomputes its base.
+    """
+    from evroute import objective_value, propagate_times
+    from evroute.core import RANGE_TOL
+    from evroute.schedule import EXTRA_STOP_FRACTION, RANK_EPS
+
+    w = inst.weights if weights is None else weights
+    nodes, n = inst.nodes, inst.n
+    charge = [0] * n
+    if not propagate_times(order, charge, inst).feasible_times:
+        return None
+    pos_of = {u: i for i, u in enumerate(order)}
+
+    def ranked_candidates(ranges, limit_pos):
+        cands = []
+        for u in order[:limit_pos]:
+            node = nodes[u]
+            if charge[u] or node.charging is None or u == n - 1:
+                continue
+            head = min(node.charging.max_gain, inst.k_max - ranges[u])
+            if head <= RANGE_TOL:
+                continue
+            cands.append((-head / (2.0 * node.charging.walk_time + RANK_EPS), u))
+        cands.sort()
+        return [u for _, u in cands]
+
+    added = []
+    while True:
+        ranges, deficit = _reference_ranges(order, _reference_gains(order, charge, inst), inst)
+        if deficit is None:
+            break
+        for u in ranked_candidates(ranges, pos_of[deficit]):
+            charge[u] = 1
+            if propagate_times(order, charge, inst).feasible_times:
+                added.append(u)
+                break
+            charge[u] = 0
+        else:
+            return None
+    for u in reversed(added):
+        charge[u] = 0
+        if _reference_ranges(order, _reference_gains(order, charge, inst), inst)[1] is not None:
+            charge[u] = 1
+    while w.wc > 0:
+        gains = _reference_gains(order, charge, inst)
+        ranges, _ = _reference_ranges(order, gains, inst)
+        base = objective_value(order, propagate_times(order, charge, inst).arrival, charge, ranges, inst, w)
+        progressed = False
+        for u in ranked_candidates(ranges, len(order)):
+            charge[u] = 1
+            trial_times = propagate_times(order, charge, inst)
+            if not trial_times.feasible_times:
+                charge[u] = 0
+                continue
+            trial_gains = _reference_gains(order, charge, inst)
+            trial_ranges, _ = _reference_ranges(order, trial_gains, inst)
+            trial_obj = objective_value(order, trial_times.arrival, charge, trial_ranges, inst, w)
+            if trial_obj < base or sum(trial_gains) - sum(gains) >= EXTRA_STOP_FRACTION * inst.k_max:
+                progressed = True
+            else:
+                charge[u] = 0
+            break
+        if not progressed:
+            break
+
+    gains = _reference_gains(order, charge, inst)
+    timed = propagate_times(order, charge, inst)
+    ranges, deficit = _reference_ranges(order, gains, inst)
+    if not timed.feasible_times or deficit is not None:
+        return None
+    obj = objective_value(order, timed.arrival, charge, ranges, inst, w)
+    return Schedule(tuple(order), timed.arrival, tuple(charge), gains, ranges, obj)
+
+
 def route_distance(s: Schedule, inst: Instance) -> float:
     return sum(inst.dist[s.order[i], s.order[i + 1]] for i in range(len(s.order) - 1))
 

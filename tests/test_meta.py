@@ -58,6 +58,12 @@ class TestMoves:
         assert m.inverse().apply(moved) == order
 
 
+@pytest.mark.parametrize("params", [TsParams, AlnsParams, AcoParams])
+def test_negative_iterations_rejected(params):
+    with pytest.raises(ValueError, match="iterations"):
+        params(iterations=-1)
+
+
 class TestTabuSearch:
     def test_zero_iterations_returns_bfd(self, seed42):
         start = bfd_initial(seed42)

@@ -10,13 +10,17 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import numpy as np
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from evroute import (
     AcoParams,
     AlnsParams,
+    ChargingOption,
+    EventNode,
     GenConfig,
+    Instance,
     NodeKind,
     SolveStatus,
     TsParams,
@@ -28,6 +32,7 @@ from evroute import (
     hybrid_dispatch,
     load,
     oracle,
+    propagate_times,
     respects_anchor_order,
     save,
     solve_completion,
@@ -37,6 +42,9 @@ from evroute import (
 )
 from evroute.errors import GenerationFailedError, NoSolutionFoundError
 from evroute.meta import _admissible_moves, _moves, _valid_positions
+from evroute.schedule import _retime
+
+from helpers import reference_assemble
 
 PROPERTY_SETTINGS = settings(
     max_examples=50,
@@ -198,3 +206,109 @@ def test_valid_positions_match_brute_force(data):
         p for p in range(1, len(order)) if respects_anchor_order(order[:p] + [node] + order[p:], inst)
     ]
     assert _valid_positions(order, node, inst) == expected
+
+
+@st.composite
+def multiday_instances(draw):
+    """A generated instance of 20-30 events over 2-3 days, where most orders
+    need charging stops."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    events = draw(st.integers(20, 30))
+    try:
+        return generate(GenConfig(seed=seed, event_count=events, max_days=draw(st.integers(2, 3))))
+    except GenerationFailedError:
+        reject()
+
+
+@st.composite
+def grid_instances(draw):
+    """A small instance on a one-minute grid whose id order is its visit
+    order.  Some windows open exactly one walk after the uncharged arrival,
+    so a stop there leaves its own arrival unchanged and delays only the
+    departure."""
+    count = draw(st.integers(4, 8))
+    small = st.integers(0, 4)
+    travel = np.array(draw(st.lists(st.lists(small, min_size=count, max_size=count),
+                                    min_size=count, max_size=count)), dtype=float)
+    np.fill_diagonal(travel, 0.0)
+    start_walk = draw(st.sampled_from([None, 1.0, 2.0]))
+    nodes = [EventNode(0, NodeKind.START, 0.0, 1000.0, 0.0,
+                       charging=None if start_walk is None else ChargingOption(start_walk, 1.0, 50.0))]
+    separators = []
+    ref = arrival = 0.0
+    for u in range(1, count - 1):
+        prev = nodes[-1]
+        depart = prev.a_max if prev.kind is NodeKind.SEPARATOR else arrival + prev.duration
+        lb = depart + float(travel[u - 1, u])
+        walk = draw(st.sampled_from([None, 0.0, 1.0, 2.0, 3.0]))
+        charging = None if walk is None else ChargingOption(walk, 1.0, 50.0)
+        kind = draw(st.sampled_from([NodeKind.FLEXIBLE, NodeKind.FLEXIBLE, NodeKind.FIXED, NodeKind.SEPARATOR]))
+        duration = 0.0 if kind is NodeKind.SEPARATOR else float(draw(small))
+        pin = None
+        if kind is NodeKind.SEPARATOR:
+            a_min = 0.0
+            arrival = max(lb, ref)
+            separators.append(u)
+        elif kind is NodeKind.FIXED:
+            a_min = float(draw(st.integers(0, 12)))
+            arrival = pin = max(lb, a_min) + draw(st.integers(0, 3))
+        else:
+            a_min = draw(st.sampled_from([lb + (walk or 0.0), float(draw(st.integers(0, 12)))]))
+            arrival = max(lb, a_min)
+        a_max = arrival + duration + draw(st.integers(0, 10))
+        if kind is NodeKind.SEPARATOR:
+            ref = a_max
+        nodes.append(EventNode(u, kind, a_min, a_max, duration, fixed_arrival=pin, charging=charging))
+    nodes.append(EventNode(count - 1, NodeKind.END, 0.0, 1000.0, 0.0))
+    return Instance(nodes=tuple(nodes), dist=travel, travel=travel, k_min=0.0, k_max=100.0,
+                    k_start=100.0, separators=tuple(separators))
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_retiming_a_flipped_stop_equals_full_propagation(data):
+    source = data.draw(st.sampled_from(["small", "multiday", "grid"]))
+    if source == "grid":
+        inst = data.draw(grid_instances())
+        order = list(range(inst.n))
+    elif source == "multiday":
+        inst = data.draw(multiday_instances())
+        order = list(bfd_initial(inst).order)
+    else:
+        inst = data.draw(instances(max_nodes=12))
+        order = data.draw(orders(inst, keep_anchor_order=data.draw(st.booleans())))
+    chargers = [u for u in order if inst.nodes[u].charging is not None]
+    stops = data.draw(st.sets(st.sampled_from(chargers), max_size=3)) if chargers else set()
+    charge = [int(u in stops) for u in range(inst.n)]
+    base = propagate_times(order, charge, inst)
+    if not base.feasible_times:
+        charge = [0] * inst.n
+        base = propagate_times(order, charge, inst)
+        if not base.feasible_times:
+            reject()
+    # every position, the route start and the end included, both directions
+    for p, u in enumerate(order):
+        flipped = list(charge)
+        flipped[u] = 1 - flipped[u]
+        full = propagate_times(order, flipped, inst)
+        got = _retime(order, flipped, base.arrival, p, inst)
+        assert (got is not None) == full.feasible_times
+        if got is not None:
+            assert repr(tuple(got)) == repr(full.arrival)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_assembly_equals_the_reference_planner(data):
+    inst = data.draw(st.one_of(instances(max_nodes=10), multiday_instances()))
+    base = list(bfd_initial(inst).order)
+    candidates = [base]
+    for _ in range(4):
+        i = data.draw(st.integers(1, len(base) - 2))
+        j = data.draw(st.integers(1, len(base) - 2))
+        moved = list(base)
+        moved.insert(j, moved.pop(i))
+        candidates.append(moved)
+    for order in candidates:
+        # repr compares every float bit for bit
+        assert repr(assemble_schedule(order, inst)) == repr(reference_assemble(order, inst))
