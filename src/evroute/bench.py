@@ -46,7 +46,7 @@ class BenchConfig:
     sizes: tuple[int, ...] = (4, 6, 8)
 
     def __post_init__(self):
-        if self.per_run_time_limit <= 0:
+        if not self.per_run_time_limit > 0:  # NaN included
             raise ValueError("per_run_time_limit must be positive")
         if not self.seeds:
             raise ValueError("at least one seed is required")

@@ -10,6 +10,7 @@ fails validation included: its violations go to stderr, no row is written).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,9 +29,23 @@ EXIT_INTERNAL = 3
 
 def _parse_triple(text: str) -> tuple[float, float, float]:
     parts = [float(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated numbers")
+    if len(parts) != 3 or not all(math.isfinite(x) for x in parts):
+        raise argparse.ArgumentTypeError("expected three comma-separated finite numbers")
     return tuple(parts)  # type: ignore[return-value]
+
+
+def _parse_positive(text: str) -> float:
+    x = float(text)
+    if not x > 0:  # NaN included
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return x
+
+
+def _parse_non_negative(text: str) -> float:
+    x = float(text)
+    if not (math.isfinite(x) and x >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
+    return x
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -61,11 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve one instance file")
     s.add_argument("instance", help="instance JSON path")
     s.add_argument("--solver", choices=SOLVER_IDS, default="hybrid")
-    s.add_argument("--time-limit", type=float, default=15.0)
+    s.add_argument("--time-limit", type=_parse_positive, default=15.0)
     s.add_argument("--seed", type=int, default=0, help="solver RNG seed")
     s.add_argument("--weights", type=_parse_triple, default=None, metavar="WD,WT,WC",
                    help="preference triple, renormalized against the instance")
-    s.add_argument("--epsilon", type=float, default=None)
+    s.add_argument("--epsilon", type=_parse_non_negative, default=None)
     s.add_argument("--out", default=None, help="report CSV path (default stdout)")
 
     b = sub.add_parser("bench", help="run the benchmark ensemble")
@@ -73,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="count, or comma-separated seed list")
     b.add_argument("--sizes", type=_parse_int_list, default=(4, 6, 8))
     b.add_argument("--solvers", type=lambda t: tuple(t.split(",")), default=("exact", "ts", "alns", "aco"))
-    b.add_argument("--time-limit", type=float, default=15.0)
+    b.add_argument("--time-limit", type=_parse_positive, default=15.0)
     b.add_argument("--out", required=True, help="output directory")
 
     l = sub.add_parser("lp", help="emit the Big-M linear model as text")

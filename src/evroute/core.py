@@ -134,6 +134,9 @@ class Weights:
     bounds: tuple[tuple[float, float], ...] = ((0.0, 1.0), (0.0, 1.0), (-1.0, 0.0))
 
     def __post_init__(self):
+        values = (self.wd, self.wt, self.wc, *self.prefs, *(x for b in self.bounds for x in b))
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError("weights, prefs and bounds must be finite")
         if min(self.wd, self.wt, self.wc) < 0:
             raise ValueError("weights must be non-negative")
         if min(self.prefs) < 0 or abs(sum(self.prefs) - 1.0) > 1e-9:
@@ -181,8 +184,8 @@ class Instance:
             object.__setattr__(self, mat_name, mat)
         if not (0 <= self.k_min <= self.k_start <= self.k_max):
             raise ValueError("battery bounds must satisfy 0 <= k_min <= k_start <= k_max")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError("epsilon must be finite and non-negative")
         if any(b <= a for a, b in zip(self.separators, self.separators[1:])):
             raise ValueError("separators must be strictly increasing")
         if any(s in (0, n - 1) for s in self.separators):
@@ -515,8 +518,13 @@ def normalize_weights(inst: Instance, prefs: Sequence[float]) -> Weights:
     battery capacity window.
     """
     prefs = tuple(float(p) for p in prefs)
-    if len(prefs) != 3 or min(prefs) < 0 or abs(sum(prefs) - 1.0) > 1e-9:
-        raise ValueError("prefs must be three non-negative values summing to 1")
+    if (
+        len(prefs) != 3
+        or not all(math.isfinite(p) for p in prefs)
+        or min(prefs) < 0
+        or abs(sum(prefs) - 1.0) > 1e-9
+    ):
+        raise ValueError("prefs must be three finite non-negative values summing to 1")
     from .schedule import bfd_initial  # deferred: schedule builds on this module
 
     bootstrap = Weights(prefs[0], prefs[1], prefs[2], prefs=prefs)

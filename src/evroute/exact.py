@@ -49,7 +49,7 @@ class BnBConfig:
     incumbent_seed: Schedule | None = None
 
     def __post_init__(self):
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # NaN included
             raise ValueError("time_limit must be positive")
 
 

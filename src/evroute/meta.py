@@ -14,7 +14,7 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ from .core import Instance, NodeKind, Schedule, Weights, objective_lower_bound
 from .errors import NoSolutionFoundError
 from .exact import solve_completion
 from .schedule import (
+    _retime,
     _time_step,
     anchored_sequence,
     assemble_schedule,
@@ -180,6 +181,9 @@ class SearchTrace:
         return out
 
 
+_UNSEEN = object()
+
+
 class _RunMemo:
     """One solver call's memory of evaluated solutions.
 
@@ -187,22 +191,59 @@ class _RunMemo:
     and each deterministic ALNS repair, keyed by ``(operator, base,
     removed)``, to its result.  Tabu search cycles and ants retrace routes,
     so a revisit then costs one lookup instead of an assembly (Woodruff and
-    Zemel, "Hashing vectors for tabu search", 1993).  Each solver call makes
-    its own and drops it on return, so no state outlives the call.
+    Zemel, "Hashing vectors for tabu search", 1993).  Beside each feasible
+    order whose timing without stops it was handed, it keeps those
+    arrivals, so a search that moves to that order re-times its next
+    candidates from them.  Each solver call makes its own and drops it on
+    return, so no state outlives the call.
     """
 
     def __init__(self, inst: Instance, weights: Weights):
         self.inst = inst
         self.weights = weights
         self._seen: dict[tuple, Schedule | None] = {}
+        self._arrival: dict[tuple, Sequence[float]] = {}
+        self._zeros = [0] * inst.n
 
-    def assemble(self, order: Sequence[int]) -> Schedule | None:
+    def assemble(
+        self,
+        order: Sequence[int],
+        arrival: Sequence[float] | None = None,
+        lo: int | None = None,
+        hi: int | None = None,
+    ) -> Schedule | None:
+        """The order's schedule, assembled on its first request.
+
+        ``arrival``, when given, holds the order's feasible arrivals without
+        stops.  With ``lo`` and ``hi`` it holds those of a reference order
+        that differs from ``order`` only in positions ``lo`` to ``hi - 1``
+        instead, and a new order is first re-timed from ``lo``
+        (:func:`~evroute.schedule._retime`); one that fails is remembered as
+        None without an assembly.
+        """
         key = tuple(order)
         seen = self._seen
-        if key in seen:
-            return seen[key]
-        sched = seen[key] = assemble_schedule(order, self.inst, self.weights)
+        sched = seen.get(key, _UNSEEN)  # one hash of the key on a revisit
+        if sched is not _UNSEEN:
+            return sched
+        if lo is not None:
+            arrival = _retime(key, self._zeros, arrival, lo, hi, self.inst)
+            if arrival is None:
+                seen[key] = None
+                return None
+        sched = seen[key] = assemble_schedule(key, self.inst, self.weights, arrival=arrival)
+        if sched is not None and arrival is not None:
+            self._arrival[key] = arrival
         return sched
+
+    def arrival(self, order: Sequence[int]) -> Sequence[float]:
+        """Arrivals without stops of a feasible order: the ones kept beside
+        its schedule, else timed now and kept."""
+        key = tuple(order)
+        got = self._arrival.get(key)
+        if got is None:
+            got = self._arrival[key] = propagate_times(key, self._zeros, self.inst).arrival
+        return got
 
     def repair(self, key: tuple, compute: Callable[[], Schedule | None]) -> Schedule | None:
         seen = self._seen
@@ -228,9 +269,9 @@ def _moves(n: int) -> list[tuple[Move, int, int]]:
 
 def _admissible_moves(
     order: Sequence[int], rank: dict[int, int], moves: Sequence[tuple[Move, int, int]]
-) -> list[Move]:
-    """The moves of ``moves`` (from :func:`_moves`) whose applied order keeps
-    the anchored order, given that ``order`` keeps it.
+) -> list[tuple[Move, int, int]]:
+    """The moves of ``moves`` (from :func:`_moves`), with their spans, whose
+    applied order keeps the anchored order, given that ``order`` keeps it.
 
     A move shifts every node of its span by one place except the moving
     ones: both ends of a swap, position ``i`` of an insert.  So the anchored
@@ -240,12 +281,10 @@ def _admissible_moves(
     """
     anchored = [u in rank for u in order]
     pre = list(accumulate(anchored, initial=0))
-    return [
-        m
+    return list(compress(moves, [
+        pre[hi] - pre[lo] < 2 or not (anchored[m.i] or m.kind == "swap" and anchored[m.j])
         for m, lo, hi in moves
-        if pre[hi] - pre[lo] < 2
-        or not (anchored[m.i] or m.kind == "swap" and anchored[m.j])
-    ]
+    ]))
 
 
 def tabu_search(
@@ -276,13 +315,17 @@ def tabu_search(
         "insert": deque(maxlen=len_insert),
     }
     memo = _RunMemo(inst, w)
+    assemble = memo.assemble
     moves = _moves(len(current.order))
     for _ in range(p.iterations):
         chosen: tuple[Move, Schedule, bool] | None = None
+        # a move changes only its span, so each candidate is re-timed from
+        # the current order's arrivals
+        arrival = memo.arrival(current.order)
         # current.order keeps the anchored order: BFD built it, or it passed
         # this screen
-        for move in _admissible_moves(current.order, inst.anchor_rank, moves):
-            sched = memo.assemble(move.apply(current.order))
+        for move, lo, hi in _admissible_moves(current.order, inst.anchor_rank, moves):
+            sched = assemble(move.apply(current.order), arrival, lo, hi)
             if sched is None:
                 continue
             is_tabu = move in tabu[move.kind]
@@ -350,9 +393,10 @@ def _repair_random(memo, base, removed, rng):
             order.insert(positions[int(rng.integers(0, len(positions)))], int(m))
         if not ok:
             continue
-        if not propagate_times(order, zeros, inst).feasible_times:
+        timed = propagate_times(order, zeros, inst)
+        if not timed.feasible_times:
             continue
-        sched = memo.assemble(order)
+        sched = memo.assemble(order, timed.arrival)
         if sched is not None:
             return sched
     return None
@@ -366,6 +410,10 @@ def _repair_constructive(memo, base, removed):
     travel = inst.travel_rows
     zeros = [0] * inst.n
     order = list(base)
+    # arrivals of the order built so far without stops; each trial
+    # insertion is re-timed from its slot on (None times it in full)
+    timed = propagate_times(order, zeros, inst)
+    arrival = timed.arrival if timed.feasible_times else None
     remaining = sorted(removed)
     while remaining:
         cands = []
@@ -380,14 +428,15 @@ def _repair_constructive(memo, base, removed):
         placed = False
         for _, m, p in cands:
             trial = order[:p] + [m] + order[p:]
-            if propagate_times(trial, zeros, inst).feasible_times:
-                order = trial
+            trial_arrival = _retime(trial, zeros, arrival, p, p + 1, inst)
+            if trial_arrival is not None:
+                order, arrival = trial, trial_arrival
                 remaining.remove(m)
                 placed = True
                 break
         if not placed:
             return None
-    return memo.assemble(order)
+    return memo.assemble(order, arrival)
 
 
 def _probabilities(ops, op_weights) -> list[float]:

@@ -181,34 +181,43 @@ def propagate_ranges(
 def _retime(
     order: Sequence[int],
     charge: Sequence[int],
-    arrival: Sequence[float],
-    p: int,
+    arrival: Sequence[float] | None,
+    lo: int,
+    hi: int,
     inst: Instance,
 ) -> Sequence[float] | None:
-    """Arrivals after the charge flag at ``order[p]`` flipped, or None.
+    """Arrivals along ``order`` under ``charge`` re-timed from position
+    ``lo``, or None when the timetable breaks.
 
-    ``arrival`` holds the feasible arrivals from before the flip.  The walk
-    at ``order[p]`` only moves the chain from ``p`` on, so the re-timing
-    starts there and stops at the first later arrival equal to its old one:
-    every step after it has the same inputs as before.  A flip at position 0
-    moves the route start and re-times the whole order.
+    ``arrival`` holds the feasible per-node arrivals of a reference: an
+    order under its own charge flags that agrees with this one, node and
+    flag, before position ``lo``, and visits the same nodes in the same
+    order with the same flags from position ``hi`` on (a flipped stop at
+    ``p`` passes ``(p, p + 1)``, a node inserted at ``p`` the same, a
+    reordered span its bounds).  The chain before ``lo`` is unchanged, so
+    the re-timing starts there; from ``hi`` on it stops at the first
+    arrival equal to its old one, since every later step then has the same
+    inputs as before, and inside the span no arrival can be trusted.  The
+    result equals :func:`propagate_times` bit for bit.  ``lo == 0`` moves
+    the route start and re-times the whole order, as does ``arrival`` None
+    (no feasible reference).
     """
-    if p == 0:
+    if lo == 0 or arrival is None:
         timed = propagate_times(order, charge, inst)
         return timed.arrival if timed.feasible_times else None
     walk = inst.walk
     new = list(arrival)
     a0 = arrival[order[0]]
-    prev = order[p - 1]
+    prev = order[lo - 1]
     a_prev = arrival[prev]
     w_prev = walk[prev] if charge[prev] else 0.0
-    for q in range(p, len(order)):
+    for q in range(lo, len(order)):
         v = order[q]
         w_v = walk[v] if charge[v] else 0.0
         a_v = _time_step(inst, prev, a_prev, w_prev, v, w_v, a0)
         if a_v is None:
             return None
-        if q > p and a_v == arrival[v]:
+        if q >= hi and a_v == arrival[v]:
             break
         new[v] = a_v
         prev, a_prev, w_prev = v, a_v, w_v
@@ -219,6 +228,8 @@ def plan_charging(
     order: Sequence[int],
     inst: Instance,
     weights: Weights | None = None,
+    *,
+    arrival: Sequence[float] | None = None,
 ) -> tuple[tuple[int, ...], tuple[float, ...]] | None:
     """Greedy parallel-charging decisions for a visit order.
 
@@ -230,6 +241,11 @@ def plan_charging(
     improve the objective or contribute at least a tenth of the capacity.
     Returns None when deficits remain with every candidate exhausted.
 
+    ``arrival``, when given, must hold the order's feasible arrivals
+    without stops, as :func:`propagate_times` returns them; the planner
+    then skips that first timing.  Callers that derive an order from one
+    already timed get it from :func:`_retime` at a fraction of a full pass.
+
     The ranges come from one pass over the range chain per charge set, and
     a trial stop re-times the order only from its own position on (see
     :func:`_retime`); the results equal full re-propagation bit for bit.
@@ -238,10 +254,11 @@ def plan_charging(
     nodes = inst.nodes
     n = inst.n
     charge = [0] * n
-    timed = propagate_times(order, charge, inst)
-    if not timed.feasible_times:
-        return None
-    arrival = timed.arrival
+    if arrival is None:
+        timed = propagate_times(order, charge, inst)
+        if not timed.feasible_times:
+            return None
+        arrival = timed.arrival
     pos_of = {u: i for i, u in enumerate(order)}
     added: list[int] = []
 
@@ -262,7 +279,8 @@ def plan_charging(
     while deficit is not None:
         for u in ranked_candidates(ranges, pos_of[deficit]):
             charge[u] = 1
-            trial = _retime(order, charge, arrival, pos_of[u], inst)
+            p = pos_of[u]
+            trial = _retime(order, charge, arrival, p, p + 1, inst)
             if trial is not None:
                 arrival = trial
                 added.append(u)
@@ -296,7 +314,8 @@ def plan_charging(
             progressed = False
             for u in ranked_candidates(ranges, len(order)):
                 charge[u] = 1
-                trial = _retime(order, charge, arrival, pos_of[u], inst)
+                p = pos_of[u]
+                trial = _retime(order, charge, arrival, p, p + 1, inst)
                 if trial is None:
                     charge[u] = 0
                     continue
@@ -319,6 +338,8 @@ def assemble_schedule(
     order: Sequence[int],
     inst: Instance,
     weights: Weights | None = None,
+    *,
+    arrival: Sequence[float] | None = None,
 ) -> Schedule | None:
     """Plan charging, propagate times and ranges and price the result.
 
@@ -326,9 +347,15 @@ def assemble_schedule(
     schedule passes :func:`evroute.core.validate` against the instance that
     carries the weights used: ``inst`` itself, or
     ``replace(inst, weights=weights)`` when ``weights`` is given.
+
+    ``arrival`` hands the order's arrivals without stops to
+    :func:`plan_charging` (see there), so that a caller that has already
+    timed the order, and dropped it if that failed, does not pay for the
+    timing twice.  The final timing and range check run either way: wrong
+    arrivals could change the plan, never return an invalid schedule.
     """
     w = inst.weights if weights is None else weights
-    planned = plan_charging(order, inst, w)
+    planned = plan_charging(order, inst, w, arrival=arrival)
     if planned is None:
         return None
     charge, gains = planned
@@ -365,7 +392,9 @@ def bfd_initial(inst: Instance, weights: Weights | None = None) -> Schedule:
 
     Fixed events and separators are laid out chronologically; flexible
     events, longest stay first, are inserted into the feasible position
-    that leaves the least idle time.  Raises
+    that leaves the least idle time.  Each gap is timed without stops from
+    the inserted event on, against the current order's arrivals, and only
+    the gaps that pass go on to charging and pricing.  Raises
     :class:`~evroute.errors.NoInitialSolutionError` when some flexible
     event fits nowhere.
     """
@@ -375,25 +404,31 @@ def bfd_initial(inst: Instance, weights: Weights | None = None) -> Schedule:
         (nd for nd in inst.nodes[1:-1] if nd.kind is NodeKind.FLEXIBLE),
         key=lambda nd: (-nd.duration, nd.id),
     )
+    zeros = [0] * inst.n
+    # arrivals of the current order without stops; None re-times in full
+    timed = propagate_times(order, zeros, inst)
+    arrival = timed.arrival if timed.feasible_times else None
     best_sched: Schedule | None = None
     for nd in flexible:
         best = None
         for p in range(1, len(order)):
             cand = order[:p] + [nd.id] + order[p:]
-            sched = assemble_schedule(cand, inst, w)
+            cand_arrival = _retime(cand, zeros, arrival, p, p + 1, inst)
+            if cand_arrival is None:
+                continue
+            sched = assemble_schedule(cand, inst, w, arrival=cand_arrival)
             if sched is None:
                 continue
             slack = waiting_slack(sched, inst)
             if best is None or slack < best[0] - 1e-12:
-                best = (slack, cand, sched)
+                best = (slack, cand, sched, cand_arrival)
         if best is None:
             raise NoInitialSolutionError(
                 f"flexible event {nd.id} fits in no gap of the current order"
             )
-        order = best[1]
-        best_sched = best[2]
+        _, order, best_sched, arrival = best
     if best_sched is None:  # no flexible events at all
-        best_sched = assemble_schedule(order, inst, w)
+        best_sched = assemble_schedule(order, inst, w, arrival=arrival)
         if best_sched is None:
             raise NoInitialSolutionError("anchored skeleton admits no feasible schedule")
     return best_sched

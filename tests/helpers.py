@@ -2,12 +2,14 @@
 
 Everything here recomputes expected values along a different path than the
 library code: the linear program below re-states the timing constraints for
-scipy's solver, and the grid searches enumerate alternatives directly.
+scipy's solver, the grid searches enumerate alternatives directly, and the
+recomputing run memory prices every order a solver asks for in full.
 """
 
 import math
 
-from evroute import Instance, NodeKind, Schedule
+from evroute import Instance, NodeKind, Schedule, meta
+from evroute.meta import _RunMemo
 
 _GRID_MARGIN = 8  # minutes explored above each chain/window lower bound
 
@@ -289,3 +291,15 @@ def day_delay_sum(s: Schedule, inst: Instance) -> float:
         ref = s.arrival[0] if i == 0 else inst.nodes[inst.separators[i - 1]].a_max
         total += s.arrival[u] - ref
     return total
+
+
+class RecomputingMemo(_RunMemo):
+    """Pass-through stand-in for a solver's run memory: evaluates every
+    request, and assembles every order in full, ignoring any arrivals or
+    span handed over."""
+
+    def assemble(self, order, *timing):
+        return meta.assemble_schedule(order, self.inst, self.weights)
+
+    def repair(self, key, compute):
+        return compute()

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import pytest
 
@@ -125,3 +126,8 @@ class TestRunBenchmark:
         cfg = BenchConfig(out_dir="x")
         assert len(cfg.seeds) == 100
         assert cfg.per_run_time_limit == 15.0
+
+    @pytest.mark.parametrize("limit", [math.nan, 0.0, -1.0])
+    def test_time_limit_must_be_positive(self, limit):
+        with pytest.raises(ValueError, match="per_run_time_limit"):
+            BenchConfig(out_dir="x", per_run_time_limit=limit)

@@ -61,6 +61,23 @@ def test_bench_subcommand(tmp_path):
     assert (out / "runs.csv").exists() and (out / "aggregate.csv").exists()
 
 
+@pytest.mark.parametrize("limit", ["nan", "-1", "0"])
+def test_time_limit_must_be_positive(instance_path, tmp_path, limit, capsys):
+    assert main(["solve", str(instance_path), "--solver", "ts", "--time-limit", limit]) == 2
+    out = tmp_path / "bench"
+    assert main(["bench", "--seeds", "1", "--sizes", "3", "--time-limit", limit, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--weights", "nan,1,1"), ("--weights", "inf,0,0"), ("--epsilon", "nan"), ("--epsilon", "inf"),
+])
+def test_non_finite_weights_and_epsilon_are_usage_errors(instance_path, flag, value, capsys):
+    assert main(["solve", str(instance_path), "--solver", "ts", flag, value]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     assert main(["solve"]) == 2
     assert main(["unknown-command"]) == 2

@@ -182,6 +182,30 @@ class TestFiniteInput:
             ChargingOption(**kw)
 
 
+    @pytest.mark.parametrize("field", ["wd", "wt", "wc", "prefs", "bounds"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_weights_reject_non_finite(self, field, x):
+        kw = dict(wd=1.0, wt=0.0, wc=0.0)
+        if field == "prefs":
+            kw["prefs"] = (x, 0.0, 0.0)
+        elif field == "bounds":
+            kw["bounds"] = ((0.0, x), (0.0, 1.0), (-1.0, 0.0))
+        else:
+            kw[field] = x
+        with pytest.raises(ValueError, match="finite"):
+            Weights(**kw)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_normalize_weights_rejects_non_finite_prefs(self, seed42, x):
+        with pytest.raises(ValueError, match="finite"):
+            normalize_weights(seed42, (x, 1.0, 1.0))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -1.0])
+    def test_instance_rejects_a_bad_epsilon(self, seed42, x):
+        with pytest.raises(ValueError, match="epsilon"):
+            replace(seed42, epsilon=x)
+
+
 class TestNormalizeWeights:
     def test_single_preference_formula(self):
         # distance spread is exactly 100 - 40 = 60 by construction

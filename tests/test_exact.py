@@ -1,3 +1,4 @@
+import math
 import time
 from dataclasses import replace
 
@@ -128,6 +129,12 @@ class TestSolveExact:
             res = solve_exact(inst)
             assert res.status is SolveStatus.OPTIMAL
             assert res.objective == pytest.approx(oracle(inst).objective, abs=1e-12)
+
+    @pytest.mark.parametrize("limit", [math.nan, 0.0, -1.0])
+    def test_time_limit_must_be_positive(self, limit):
+        # a NaN limit would set a deadline that is never reached
+        with pytest.raises(ValueError, match="time_limit"):
+            BnBConfig(time_limit=limit)
 
     def test_incumbent_seed_is_used(self, seed42):
         seed_sched = bfd_initial(seed42)

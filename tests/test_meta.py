@@ -32,6 +32,7 @@ from evroute.errors import NoSolutionFoundError
 from evroute.meta import PHEROMONE_FLOOR, _repair_constructive, _removable, _RunMemo
 
 from conftest import SEED42_ORACLE_OBJECTIVE
+from helpers import RecomputingMemo
 
 
 class _StubRng:
@@ -310,16 +311,6 @@ class TestSearchTrace:
             json.dumps({"best": trace.best, "events": trace.events})
 
 
-class _Recompute(_RunMemo):
-    """Pass-through stand-in for the run memo: evaluates every request."""
-
-    def assemble(self, order):
-        return meta.assemble_schedule(order, self.inst, self.weights)
-
-    def repair(self, key, compute):
-        return compute()
-
-
 class TestRunMemo:
     CONFIGS = [(1, 6, 1), (2, 7, 1), (3, 8, 1), (4, 10, 2), (5, 12, 3), (6, 14, 3)]
 
@@ -347,7 +338,7 @@ class TestRunMemo:
     def test_memo_leaves_every_output_unchanged(self, monkeypatch, seed, events, days):
         inst = generate(GenConfig(seed=seed, event_count=events, max_days=days))
         remembered = self._runs(inst)
-        monkeypatch.setattr(meta, "_RunMemo", _Recompute)
+        monkeypatch.setattr(meta, "_RunMemo", RecomputingMemo)
         assert self._runs(inst) == remembered
 
     def test_alns_remembered_repairs_equal_fresh_ones(self, seed42, monkeypatch):
@@ -368,23 +359,36 @@ class TestRunMemo:
         assert outcomes[True, False] == outcomes[False, False] == 0
 
     def test_tabu_search_assembles_each_order_once(self, seed42, monkeypatch):
+        # an order whose re-timing without stops fails is priced right there,
+        # without an assembly
         assembled = Counter()
+        failed_timing = Counter()
         looked_up = Counter()
         real_assemble = meta.assemble_schedule
+        real_retime = meta._retime
         real_lookup = _RunMemo.assemble
 
-        def counting_assemble(order, inst, weights=None):
+        def counting_assemble(order, inst, weights=None, **kw):
             assembled[tuple(order)] += 1
-            return real_assemble(order, inst, weights)
+            return real_assemble(order, inst, weights, **kw)
 
-        def counting_lookup(memo, order):
+        def counting_retime(order, *args):
+            got = real_retime(order, *args)
+            if got is None:
+                failed_timing[tuple(order)] += 1
+            return got
+
+        def counting_lookup(memo, order, *timing):
             looked_up[tuple(order)] += 1
-            return real_lookup(memo, order)
+            return real_lookup(memo, order, *timing)
 
         monkeypatch.setattr(meta, "assemble_schedule", counting_assemble)
+        monkeypatch.setattr(meta, "_retime", counting_retime)
         monkeypatch.setattr(_RunMemo, "assemble", counting_lookup)
         tabu_search(seed42, params=TsParams(iterations=200))
         assert max(assembled.values()) == 1
-        assert set(assembled) == set(looked_up)
+        assert max(failed_timing.values()) == 1
+        assert not set(assembled) & set(failed_timing)
+        assert set(assembled) | set(failed_timing) == set(looked_up)
         # the search revisits orders, so the memo saves assemblies
-        assert sum(looked_up.values()) > 2 * len(assembled)
+        assert sum(looked_up.values()) > 2 * (len(assembled) + len(failed_timing))

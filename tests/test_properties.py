@@ -8,6 +8,7 @@ import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import numpy as np
@@ -22,6 +23,7 @@ from evroute import (
     GenConfig,
     Instance,
     NodeKind,
+    SearchTrace,
     SolveStatus,
     TsParams,
     aco,
@@ -40,11 +42,12 @@ from evroute import (
     tabu_search,
     validate,
 )
-from evroute.errors import GenerationFailedError, NoSolutionFoundError
+from evroute import meta
+from evroute.errors import GenerationFailedError, NoInitialSolutionError, NoSolutionFoundError
 from evroute.meta import _admissible_moves, _moves, _valid_positions
 from evroute.schedule import _retime
 
-from helpers import reference_assemble
+from helpers import RecomputingMemo, reference_assemble
 
 PROPERTY_SETTINGS = settings(
     max_examples=50,
@@ -192,7 +195,8 @@ def test_tabu_screen_admits_exactly_the_anchor_respecting_moves(data):
     assert respects_anchor_order(order, inst)
     moves = _moves(inst.n)
     expected = [m for m, _, _ in moves if respects_anchor_order(m.apply(order), inst)]
-    assert _admissible_moves(order, inst.anchor_rank, moves) == expected
+    admitted = _admissible_moves(order, inst.anchor_rank, moves)
+    assert [m for m, _, _ in admitted] == expected
 
 
 @PROPERTY_SETTINGS
@@ -291,7 +295,7 @@ def test_retiming_a_flipped_stop_equals_full_propagation(data):
         flipped = list(charge)
         flipped[u] = 1 - flipped[u]
         full = propagate_times(order, flipped, inst)
-        got = _retime(order, flipped, base.arrival, p, inst)
+        got = _retime(order, flipped, base.arrival, p, p + 1, inst)
         assert (got is not None) == full.feasible_times
         if got is not None:
             assert repr(tuple(got)) == repr(full.arrival)
@@ -312,3 +316,90 @@ def test_assembly_equals_the_reference_planner(data):
     for order in candidates:
         # repr compares every float bit for bit
         assert repr(assemble_schedule(order, inst)) == repr(reference_assemble(order, inst))
+
+
+@st.composite
+def timed_orders(draw):
+    """An instance, a visit order of it that is time-feasible without
+    stops, and that order's arrivals.  The order is the identity on grid
+    instances, else the BFD order or, sometimes, one move away from it.
+    Grid instances are drawn twice as often: their pinned, clamped and
+    separator arrivals often equal the old ones inside a moved span, where
+    the re-timing must not stop."""
+    source = draw(st.sampled_from(["grid", "small", "grid", "multiday"]))
+    if source == "grid":
+        inst = draw(grid_instances())
+        order = list(range(inst.n))
+    else:
+        inst = draw(instances(max_nodes=12) if source == "small" else multiday_instances())
+        order = list(bfd_initial(inst).order)
+        if len(order) > 3 and draw(st.booleans()):
+            move, _, _ = draw(st.sampled_from(_moves(len(order))))
+            moved = list(move.apply(order))
+            if propagate_times(moved, [0] * inst.n, inst).feasible_times:
+                order = moved
+    timed = propagate_times(order, [0] * inst.n, inst)
+    if not timed.feasible_times:
+        reject()
+    return inst, order, timed.arrival
+
+
+def _assert_retimed(got, order, inst):
+    full = propagate_times(order, [0] * inst.n, inst)
+    assert (got is not None) == full.feasible_times
+    if got is not None:
+        assert repr(tuple(got)) == repr(full.arrival)
+
+
+@PROPERTY_SETTINGS
+@given(timed_orders())
+def test_retiming_a_span_equals_full_propagation(case):
+    inst, order, arrival = case
+    zeros = [0] * inst.n
+    # every tabu move, with the span it reorders
+    for move, lo, hi in _moves(len(order)):
+        moved = move.apply(order)
+        _assert_retimed(_retime(moved, zeros, arrival, lo, hi, inst), moved, inst)
+    # every slot of every removed node, against the order without it
+    for k in range(1, len(order) - 1):
+        rest = order[:k] + order[k + 1:]
+        timed = propagate_times(rest, zeros, inst)
+        if not timed.feasible_times:
+            continue
+        for p in range(1, len(rest)):
+            cand = rest[:p] + [order[k]] + rest[p:]
+            _assert_retimed(_retime(cand, zeros, timed.arrival, p, p + 1, inst), cand, inst)
+
+
+@PROPERTY_SETTINGS
+@given(timed_orders())
+def test_assembly_with_handed_arrivals_equals_full_assembly(case):
+    inst, order, _ = case
+    zeros = [0] * inst.n
+    for move, _, _ in _moves(len(order)):
+        moved = move.apply(order)
+        timed = propagate_times(moved, zeros, inst)
+        if timed.feasible_times:
+            got = assemble_schedule(moved, inst, arrival=timed.arrival)
+            assert repr(got) == repr(assemble_schedule(moved, inst))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(st.data())
+def test_tabu_search_equals_full_pricing(data):
+    # the search re-times each candidate from the current order's arrivals;
+    # pricing every candidate in full must give the same run
+    inst = data.draw(st.one_of(instances(max_nodes=12), multiday_instances()))
+    iterations = data.draw(st.integers(1, 4))
+
+    def run():
+        trace = SearchTrace()
+        try:
+            sched = tabu_search(inst, params=TsParams(iterations=iterations), trace=trace)
+        except NoInitialSolutionError:
+            reject()
+        return repr((sched, trace.best, trace.events))
+
+    remembered = run()
+    with mock.patch.object(meta, "_RunMemo", RecomputingMemo):
+        assert run() == remembered
