@@ -95,7 +95,6 @@ def quality_shift(weights: Weights) -> float:
 
 def hybrid_dispatch(
     inst: Instance,
-    weights: Weights | None = None,
     budget: float = 15.0,
     rng_seed: int = 0,
     trace: SearchTrace | None = None,
@@ -110,7 +109,6 @@ def hybrid_dispatch(
     (first-iteration time times the iteration count) overruns the budget,
     in which case the neighborhood search takes over.
     """
-    w = inst.weights if weights is None else weights
     n_events = inst.event_count
 
     def note(solver, **extra):
@@ -118,25 +116,25 @@ def hybrid_dispatch(
             trace.record("dispatch", solver=solver, **extra)
 
     if n_events < EXACT_SIZE_LIMIT:
-        res = solve_exact(inst, BnBConfig(time_limit=budget), w)
+        res = solve_exact(inst, BnBConfig(time_limit=budget))
         note("exact", status=res.status.value)
         return res.schedule
     if n_events < TS_SIZE_LIMIT:
         note("ts")
-        return tabu_search(inst, w, ts_params, rng_seed, trace)
+        return tabu_search(inst, ts_params, rng_seed, trace)
     p = AcoParams() if aco_params is None else aco_params
     start = time.perf_counter()
     try:
-        aco(inst, w, replace(p, iterations=1), rng_seed)
+        aco(inst, replace(p, iterations=1), rng_seed)
         probe = time.perf_counter() - start
     except NoSolutionFoundError:
         probe = float("inf")
     projected = probe * p.iterations
     if projected > budget:
         note("alns", projected_aco_s=projected)
-        return alns(inst, w, alns_params, rng_seed, trace)
+        return alns(inst, alns_params, rng_seed, trace)
     note("aco", projected_aco_s=projected)
-    return aco(inst, w, p, rng_seed, trace)
+    return aco(inst, p, rng_seed, trace)
 
 
 def run_solver(solver: str, inst: Instance, limit: float, rng_seed: int):

@@ -48,14 +48,31 @@ def _parse_non_negative(text: str) -> float:
     return x
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x != "")
+def _parse_count(text: str) -> int:
+    x = int(text)
+    if x < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
+    return x
+
+
+def _parse_sizes(text: str) -> tuple[int, ...]:
+    return tuple(_parse_count(x) for x in text.split(","))
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    if "," in text:
-        return _parse_int_list(text)
-    return tuple(range(int(text)))
+    if "," not in text:
+        return tuple(range(_parse_count(text)))
+    seeds = tuple(int(x) for x in text.split(","))
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"expected non-negative seeds, got {text!r}")
+    return seeds
+
+
+def _parse_solvers(text: str) -> tuple[str, ...]:
+    solvers = tuple(text.split(","))
+    if not set(solvers) <= set(SOLVER_IDS):
+        raise argparse.ArgumentTypeError(f"expected solvers out of {','.join(SOLVER_IDS)}, got {text!r}")
+    return solvers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate instance files")
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--count", type=int, default=1, help="number of consecutive seeds")
+    g.add_argument("--count", type=_parse_count, default=1, help="number of consecutive seeds")
     g.add_argument("--out", required=True, help="output file (count=1) or directory")
     g.add_argument("--events", type=int, default=None, help="exact event count")
     g.add_argument("--max-events", type=int, default=120)
@@ -86,8 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run the benchmark ensemble")
     b.add_argument("--seeds", type=_parse_seeds, default=tuple(range(100)),
                    help="count, or comma-separated seed list")
-    b.add_argument("--sizes", type=_parse_int_list, default=(4, 6, 8))
-    b.add_argument("--solvers", type=lambda t: tuple(t.split(",")), default=("exact", "ts", "alns", "aco"))
+    b.add_argument("--sizes", type=_parse_sizes, default=(4, 6, 8), help="comma-separated event counts")
+    b.add_argument("--solvers", type=_parse_solvers, default=("exact", "ts", "alns", "aco"),
+                   help=f"comma-separated subset of {','.join(SOLVER_IDS)}")
     b.add_argument("--time-limit", type=_parse_positive, default=15.0)
     b.add_argument("--out", required=True, help="output directory")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -337,10 +337,9 @@ def objective_value(
     charge: Sequence[int],
     ranges: Sequence[float],
     inst: Instance,
-    weights: Weights | None = None,
 ) -> float:
     """Objective over raw solution vectors; see :func:`evaluate_objective`."""
-    w = inst.weights if weights is None else weights
+    w = inst.weights
     total_d, sep_total = _route_sums(order, arrival, inst)
     stops = 0
     last = inst.n - 1
@@ -356,12 +355,12 @@ def objective_value(
     )
 
 
-def evaluate_objective(s: Schedule, inst: Instance, weights: Weights | None = None) -> float:
+def evaluate_objective(s: Schedule, inst: Instance) -> float:
     """Weighted route cost: distance, day lengths, end-of-route charge, plus
     a small epsilon on the stop count and the departure time."""
     if len(s.arrival) != inst.n or len(s.order) != inst.n:
         raise ValueError("schedule and instance dimensions disagree")
-    return objective_value(s.order, s.arrival, s.charge, s.ranges, inst, weights)
+    return objective_value(s.order, s.arrival, s.charge, s.ranges, inst)
 
 
 def validate(s: Schedule, inst: Instance) -> list[Violation]:
@@ -528,7 +527,7 @@ def normalize_weights(inst: Instance, prefs: Sequence[float]) -> Weights:
     from .schedule import bfd_initial  # deferred: schedule builds on this module
 
     bootstrap = Weights(prefs[0], prefs[1], prefs[2], prefs=prefs)
-    initial = bfd_initial(inst, bootstrap)  # raises NoInitialSolutionError
+    initial = bfd_initial(replace(inst, weights=bootstrap))  # raises NoInitialSolutionError
 
     dist = inst.dist_rows
     travel = inst.travel_rows

@@ -18,7 +18,6 @@ from .core import (
     Instance,
     NodeKind,
     Schedule,
-    Weights,
     objective_value,
 )
 from .errors import InstanceTooLargeError, NoInitialSolutionError
@@ -85,7 +84,7 @@ def _interleavings(anchored, flexible, n):
     yield from rec([], 0, flexible)
 
 
-def _best_charging(order, inst, weights, chargeable):
+def _best_charging(order, inst, chargeable):
     """Best schedule over all charge-flag subsets for a fixed order, or None.
 
     Gains are always charged to the cap: extra charge costs no time in this
@@ -109,7 +108,7 @@ def _best_charging(order, inst, weights, chargeable):
         gains, ranges, deficit = _range_pass(order, charge, inst)
         if deficit is not None:
             continue
-        obj = objective_value(order, timed.arrival, charge, ranges, inst, weights)
+        obj = objective_value(order, timed.arrival, charge, ranges, inst)
         key = tuple(charge)
         if best is None or obj < best.objective or (obj == best.objective and key < best_key):
             best = Schedule(tuple(order), timed.arrival, key, gains, ranges, obj)
@@ -117,7 +116,7 @@ def _best_charging(order, inst, weights, chargeable):
     return best
 
 
-def oracle(inst: Instance, weights: Weights | None = None) -> Schedule | None:
+def oracle(inst: Instance) -> Schedule | None:
     """Ground truth by exhaustive enumeration of orders and charge subsets.
 
     Guarded to at most 10 nodes; larger instances raise
@@ -128,7 +127,6 @@ def oracle(inst: Instance, weights: Weights | None = None) -> Schedule | None:
     n = inst.n
     if n > ORACLE_MAX_NODES:
         raise InstanceTooLargeError(f"oracle is guarded to {ORACLE_MAX_NODES} nodes, got {n}")
-    w = inst.weights if weights is None else weights
     anchored = list(anchored_sequence(inst))
     anchored_set = set(anchored)
     flexible = [u for u in range(1, n - 1) if u not in anchored_set]
@@ -139,7 +137,7 @@ def oracle(inst: Instance, weights: Weights | None = None) -> Schedule | None:
     for order in _interleavings(anchored, flexible, n):
         if not propagate_times(order, zeros, inst).feasible_times:
             continue
-        sched = _best_charging(order, inst, w, chargeable)
+        sched = _best_charging(order, inst, chargeable)
         if sched is None:
             continue
         key = (order, sched.charge)
@@ -158,16 +156,16 @@ class _Timeout(Exception):
 class _Search:
     """Depth-first branch-and-bound over the completions of a partial order.
 
-    Complete orders are priced by ``price(order, inst, weights)``, which
-    returns a schedule or None.
+    Complete orders are priced by ``price(order, inst)``, which returns a
+    schedule or None.
     Subtrees are cut on anchored-order violations, on earliest-time
     infeasibility of the partial order and on an optimistic objective bound
     against the incumbent.
     """
 
-    def __init__(self, inst: Instance, weights: Weights, deadline: float | None, price):
+    def __init__(self, inst: Instance, deadline: float | None, price):
         self.inst = inst
-        self.w = weights
+        self.w = inst.weights
         self.deadline = deadline
         self.price = price
         dist = inst.dist_rows
@@ -230,7 +228,7 @@ class _Search:
             self.tick()
             if bi == len(base):
                 self.leaves += 1
-                self.offer(self.price(path, inst, self.w))
+                self.offer(self.price(path, inst))
                 return
             remaining_after = remaining_min - min_out[last]
             nxt = base[bi]
@@ -276,7 +274,6 @@ class _Search:
 def solve_exact(
     inst: Instance,
     cfg: BnBConfig | None = None,
-    weights: Weights | None = None,
 ) -> ExactResult:
     """Depth-first branch-and-bound over visit orders.
 
@@ -291,16 +288,15 @@ def solve_exact(
     ``optimal``.
     """
     cfg = BnBConfig() if cfg is None else cfg
-    w = inst.weights if weights is None else weights
     deadline = time.monotonic() + cfg.time_limit
     chargeable = _chargeable(inst)
     leaf_enum = len(chargeable) <= LEAF_ENUM_MAX_CHARGEABLE
     price = partial(_best_charging, chargeable=chargeable) if leaf_enum else assemble_schedule
-    search = _Search(inst, w, deadline, price)
+    search = _Search(inst, deadline, price)
     seed = cfg.incumbent_seed
     if seed is None:
         try:
-            seed = bfd_initial(inst, w)
+            seed = bfd_initial(inst)
         except NoInitialSolutionError:
             pass
     search.offer(seed)
@@ -321,7 +317,6 @@ def solve_completion(
     inst: Instance,
     base_order,
     removed,
-    weights: Weights | None = None,
     time_limit: float | None = None,
 ) -> Schedule | None:
     """Optimal re-insertion of ``removed`` nodes into ``base_order``.
@@ -333,7 +328,6 @@ def solve_completion(
     ``base_order`` and ``removed`` together must hold every node exactly
     once.
     """
-    w = inst.weights if weights is None else weights
     base = list(base_order)
     removed = list(removed)
     if not base or base[0] != 0 or base[-1] != inst.n - 1:
@@ -341,7 +335,7 @@ def solve_completion(
     if sorted(base + removed) != list(range(inst.n)):
         raise ValueError("base order and removed nodes overlap or miss a node")
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    search = _Search(inst, w, deadline, assemble_schedule)
+    search = _Search(inst, deadline, assemble_schedule)
     search.run(base, removed)
     return search.best
 

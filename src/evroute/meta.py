@@ -198,9 +198,8 @@ class _RunMemo:
     return, so no state outlives the call.
     """
 
-    def __init__(self, inst: Instance, weights: Weights):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.weights = weights
         self._seen: dict[tuple, Schedule | None] = {}
         self._arrival: dict[tuple, Sequence[float]] = {}
         self._zeros = [0] * inst.n
@@ -231,7 +230,7 @@ class _RunMemo:
             if arrival is None:
                 seen[key] = None
                 return None
-        sched = seen[key] = assemble_schedule(key, self.inst, self.weights, arrival=arrival)
+        sched = seen[key] = assemble_schedule(key, self.inst, arrival=arrival)
         if sched is not None and arrival is not None:
             self._arrival[key] = arrival
         return sched
@@ -289,7 +288,6 @@ def _admissible_moves(
 
 def tabu_search(
     inst: Instance,
-    weights: Weights | None = None,
     params: TsParams | None = None,
     rng_seed: int = 0,
     trace: SearchTrace | None = None,
@@ -303,9 +301,8 @@ def tabu_search(
     accepted for interface symmetry only.
     """
     del rng_seed  # exhaustive neighborhood, nothing stochastic
-    w = inst.weights if weights is None else weights
     p = TsParams() if params is None else params
-    current = bfd_initial(inst, w)
+    current = bfd_initial(inst)
     best = current
     half_n = math.ceil(inst.event_count / 2)
     len_swap = half_n if p.tabu_len_swap is None else p.tabu_len_swap
@@ -314,7 +311,7 @@ def tabu_search(
         "swap": deque(maxlen=len_swap),
         "insert": deque(maxlen=len_insert),
     }
-    memo = _RunMemo(inst, w)
+    memo = _RunMemo(inst)
     assemble = memo.assemble
     moves = _moves(len(current.order))
     for _ in range(p.iterations):
@@ -405,7 +402,7 @@ def _repair_random(memo, base, removed, rng):
 def _repair_constructive(memo, base, removed):
     """Cheapest insertion on weighted distance plus travel time deltas."""
     inst = memo.inst
-    w = memo.weights
+    w = inst.weights
     dist = inst.dist_rows
     travel = inst.travel_rows
     zeros = [0] * inst.n
@@ -456,7 +453,6 @@ def _roulette(rng, ops, probs):
 
 def alns(
     inst: Instance,
-    weights: Weights | None = None,
     params: AlnsParams | None = None,
     rng_seed: int = 0,
     trace: SearchTrace | None = None,
@@ -470,10 +466,9 @@ def alns(
     iterations from scored outcomes (new global best 3, improved current 2,
     accepted 1, else 0).
     """
-    w = inst.weights if weights is None else weights
     p = AlnsParams() if params is None else params
     rng = np.random.default_rng(rng_seed)
-    current = bfd_initial(inst, w)
+    current = bfd_initial(inst)
     best = current
     removable = _removable(inst)
     n_events = len(removable)
@@ -484,7 +479,7 @@ def alns(
     weight_list = [op_weights[o] for o in ops]
     scores = {op: 0.0 for op in ops}
     uses = {op: 0 for op in ops}
-    memo = _RunMemo(inst, w)
+    memo = _RunMemo(inst)
 
     for it in range(p.iterations):
         if p.dod_scheme == "static":
@@ -505,7 +500,7 @@ def alns(
         elif op == REPAIR_EXACT and len(removed) <= p.exact_repair_max_removed:
             cand = memo.repair(
                 (op, tuple(base), tuple(removed)),
-                lambda: solve_completion(inst, base, removed, w),
+                lambda: solve_completion(inst, base, removed),
             )
         else:
             if op == REPAIR_EXACT and trace is not None:
@@ -670,7 +665,6 @@ def _construct_route(inst, anchored, tau, eta, p, rng):
 
 def aco(
     inst: Instance,
-    weights: Weights | None = None,
     params: AcoParams | None = None,
     rng_seed: int = 0,
     trace: SearchTrace | None = None,
@@ -686,7 +680,7 @@ def aco(
     :class:`~evroute.errors.NoSolutionFoundError` when no ant ever produces
     a feasible schedule.
     """
-    w = inst.weights if weights is None else weights
+    w = inst.weights
     p = AcoParams() if params is None else params
     rng = np.random.default_rng(rng_seed)
     n = inst.n
@@ -696,7 +690,7 @@ def aco(
     eta = 1.0 / (w.wd * dist + w.wt * travel + ETA_EPS)
     eta = eta.tolist()
     tau = np.full((n, n), p.tau0, dtype=float)
-    memo = _RunMemo(inst, w)
+    memo = _RunMemo(inst)
     best: Schedule | None = None
     for it in range(p.iterations):
         tau_rows = tau.tolist()

@@ -17,7 +17,6 @@ from .core import (
     Schedule,
     TIME_TOL,
     TimedOrder,
-    Weights,
     objective_value,
 )
 from .errors import NoInitialSolutionError
@@ -227,7 +226,6 @@ def _retime(
 def plan_charging(
     order: Sequence[int],
     inst: Instance,
-    weights: Weights | None = None,
     *,
     arrival: Sequence[float] | None = None,
 ) -> tuple[tuple[int, ...], tuple[float, ...]] | None:
@@ -250,7 +248,6 @@ def plan_charging(
     a trial stop re-times the order only from its own position on (see
     :func:`_retime`); the results equal full re-propagation bit for bit.
     """
-    w = inst.weights if weights is None else weights
     nodes = inst.nodes
     n = inst.n
     charge = [0] * n
@@ -262,7 +259,10 @@ def plan_charging(
     pos_of = {u: i for i, u in enumerate(order)}
     added: list[int] = []
 
-    def ranked_candidates(ranges, limit_pos):
+    def first_timed_stop(ranges, limit_pos):
+        """The best-ranked new stop before position ``limit_pos`` that
+        keeps the timetable, flagged, with the arrivals it leads to; else
+        None.  Stops rank by achievable gain per minute of walking."""
         cands = []
         for u in order[:limit_pos]:
             node = nodes[u]
@@ -273,21 +273,22 @@ def plan_charging(
                 continue
             cands.append((-head / (2.0 * node.charging.walk_time + RANK_EPS), u))
         cands.sort()
-        return [u for _, u in cands]
-
-    gains, ranges, deficit = _range_pass(order, charge, inst)
-    while deficit is not None:
-        for u in ranked_candidates(ranges, pos_of[deficit]):
+        for _, u in cands:
             charge[u] = 1
             p = pos_of[u]
             trial = _retime(order, charge, arrival, p, p + 1, inst)
             if trial is not None:
-                arrival = trial
-                added.append(u)
-                break
+                return u, trial
             charge[u] = 0
-        else:
+        return None
+
+    gains, ranges, deficit = _range_pass(order, charge, inst)
+    while deficit is not None:
+        stop = first_timed_stop(ranges, pos_of[deficit])
+        if stop is None:
             return None
+        u, arrival = stop
+        added.append(u)
         gains, ranges, deficit = _range_pass(order, charge, inst)
 
     # Drop stops the remaining set already covers; removal never tightens
@@ -302,34 +303,26 @@ def plan_charging(
         else:
             charge[u] = 1
 
-    if w.wc > 0:
+    if inst.weights.wc > 0:
         # Each accepted stop's arrivals, gains, ranges and objective are
-        # the next round's base; a trial re-times from the held arrivals.
+        # the next round's base; only the best addable rank is tried per
+        # round, re-timed from the held arrivals.
         if dropped:
             arrival = propagate_times(order, charge, inst).arrival
-        obj = objective_value(order, arrival, charge, ranges, inst, w)
+        obj = objective_value(order, arrival, charge, ranges, inst)
         total = sum(gains)
-        progressed = True
-        while progressed:
-            progressed = False
-            for u in ranked_candidates(ranges, len(order)):
-                charge[u] = 1
-                p = pos_of[u]
-                trial = _retime(order, charge, arrival, p, p + 1, inst)
-                if trial is None:
-                    charge[u] = 0
-                    continue
-                trial_gains, trial_ranges, _ = _range_pass(order, charge, inst)
-                trial_obj = objective_value(order, trial, charge, trial_ranges, inst, w)
-                # Incremental charge is net of capping at later stops; it
-                # equals the end-of-route range increase by conservation.
-                trial_total = sum(trial_gains)
-                if trial_obj < obj or trial_total - total >= EXTRA_STOP_FRACTION * inst.k_max:
-                    arrival, gains, ranges = trial, trial_gains, trial_ranges
-                    obj, total, progressed = trial_obj, trial_total, True
-                else:
-                    charge[u] = 0
-                break  # only the best addable rank is considered per round
+        while (stop := first_timed_stop(ranges, len(order))) is not None:
+            u, trial = stop
+            trial_gains, trial_ranges, _ = _range_pass(order, charge, inst)
+            trial_obj = objective_value(order, trial, charge, trial_ranges, inst)
+            # Incremental charge is net of capping at later stops; it
+            # equals the end-of-route range increase by conservation.
+            trial_total = sum(trial_gains)
+            if not (trial_obj < obj or trial_total - total >= EXTRA_STOP_FRACTION * inst.k_max):
+                charge[u] = 0
+                break
+            arrival, gains, ranges = trial, trial_gains, trial_ranges
+            obj, total = trial_obj, trial_total
 
     return tuple(charge), gains
 
@@ -337,16 +330,15 @@ def plan_charging(
 def assemble_schedule(
     order: Sequence[int],
     inst: Instance,
-    weights: Weights | None = None,
     *,
     arrival: Sequence[float] | None = None,
 ) -> Schedule | None:
     """Plan charging, propagate times and ranges and price the result.
 
     Returns None when the order admits no feasible schedule.  A returned
-    schedule passes :func:`evroute.core.validate` against the instance that
-    carries the weights used: ``inst`` itself, or
-    ``replace(inst, weights=weights)`` when ``weights`` is given.
+    schedule is priced under ``inst.weights`` and passes
+    :func:`evroute.core.validate` against ``inst``; to plan under other
+    weights, pass ``replace(inst, weights=w)``.
 
     ``arrival`` hands the order's arrivals without stops to
     :func:`plan_charging` (see there), so that a caller that has already
@@ -354,8 +346,7 @@ def assemble_schedule(
     timing twice.  The final timing and range check run either way: wrong
     arrivals could change the plan, never return an invalid schedule.
     """
-    w = inst.weights if weights is None else weights
-    planned = plan_charging(order, inst, w, arrival=arrival)
+    planned = plan_charging(order, inst, arrival=arrival)
     if planned is None:
         return None
     charge, gains = planned
@@ -363,7 +354,7 @@ def assemble_schedule(
     _, ranges, deficit = _range_pass(order, charge, inst, gains)
     if not timed.feasible_times or deficit is not None:
         return None
-    obj = objective_value(order, timed.arrival, charge, ranges, inst, w)
+    obj = objective_value(order, timed.arrival, charge, ranges, inst)
     return Schedule(tuple(order), timed.arrival, tuple(charge), gains, ranges, obj)
 
 
@@ -387,7 +378,7 @@ def waiting_slack(s: Schedule, inst: Instance) -> float:
     return total
 
 
-def bfd_initial(inst: Instance, weights: Weights | None = None) -> Schedule:
+def bfd_initial(inst: Instance) -> Schedule:
     """Best-fit-decreasing construction.
 
     Fixed events and separators are laid out chronologically; flexible
@@ -398,7 +389,6 @@ def bfd_initial(inst: Instance, weights: Weights | None = None) -> Schedule:
     :class:`~evroute.errors.NoInitialSolutionError` when some flexible
     event fits nowhere.
     """
-    w = inst.weights if weights is None else weights
     order = [0, *anchored_sequence(inst), inst.n - 1]
     flexible = sorted(
         (nd for nd in inst.nodes[1:-1] if nd.kind is NodeKind.FLEXIBLE),
@@ -416,7 +406,7 @@ def bfd_initial(inst: Instance, weights: Weights | None = None) -> Schedule:
             cand_arrival = _retime(cand, zeros, arrival, p, p + 1, inst)
             if cand_arrival is None:
                 continue
-            sched = assemble_schedule(cand, inst, w, arrival=cand_arrival)
+            sched = assemble_schedule(cand, inst, arrival=cand_arrival)
             if sched is None:
                 continue
             slack = waiting_slack(sched, inst)
@@ -428,7 +418,7 @@ def bfd_initial(inst: Instance, weights: Weights | None = None) -> Schedule:
             )
         _, order, best_sched, arrival = best
     if best_sched is None:  # no flexible events at all
-        best_sched = assemble_schedule(order, inst, w, arrival=arrival)
+        best_sched = assemble_schedule(order, inst, arrival=arrival)
         if best_sched is None:
             raise NoInitialSolutionError("anchored skeleton admits no feasible schedule")
     return best_sched

@@ -202,7 +202,7 @@ def _reference_ranges(order, gains, inst):
     return tuple(k), deficit
 
 
-def reference_assemble(order, inst, weights=None):
+def reference_assemble(order, inst):
     """``assemble_schedule`` with the charging planner written plainly.
 
     Every charge set the planner considers is priced from scratch: gains,
@@ -213,7 +213,7 @@ def reference_assemble(order, inst, weights=None):
     from evroute.core import RANGE_TOL
     from evroute.schedule import EXTRA_STOP_FRACTION, RANK_EPS
 
-    w = inst.weights if weights is None else weights
+    w = inst.weights
     nodes, n = inst.nodes, inst.n
     charge = [0] * n
     if not propagate_times(order, charge, inst).feasible_times:
@@ -253,7 +253,7 @@ def reference_assemble(order, inst, weights=None):
     while w.wc > 0:
         gains = _reference_gains(order, charge, inst)
         ranges, _ = _reference_ranges(order, gains, inst)
-        base = objective_value(order, propagate_times(order, charge, inst).arrival, charge, ranges, inst, w)
+        base = objective_value(order, propagate_times(order, charge, inst).arrival, charge, ranges, inst)
         progressed = False
         for u in ranked_candidates(ranges, len(order)):
             charge[u] = 1
@@ -263,7 +263,7 @@ def reference_assemble(order, inst, weights=None):
                 continue
             trial_gains = _reference_gains(order, charge, inst)
             trial_ranges, _ = _reference_ranges(order, trial_gains, inst)
-            trial_obj = objective_value(order, trial_times.arrival, charge, trial_ranges, inst, w)
+            trial_obj = objective_value(order, trial_times.arrival, charge, trial_ranges, inst)
             if trial_obj < base or sum(trial_gains) - sum(gains) >= EXTRA_STOP_FRACTION * inst.k_max:
                 progressed = True
             else:
@@ -277,7 +277,7 @@ def reference_assemble(order, inst, weights=None):
     ranges, deficit = _reference_ranges(order, gains, inst)
     if not timed.feasible_times or deficit is not None:
         return None
-    obj = objective_value(order, timed.arrival, charge, ranges, inst, w)
+    obj = objective_value(order, timed.arrival, charge, ranges, inst)
     return Schedule(tuple(order), timed.arrival, tuple(charge), gains, ranges, obj)
 
 
@@ -299,7 +299,7 @@ class RecomputingMemo(_RunMemo):
     span handed over."""
 
     def assemble(self, order, *timing):
-        return meta.assemble_schedule(order, self.inst, self.weights)
+        return meta.assemble_schedule(order, self.inst)
 
     def repair(self, key, compute):
         return compute()

@@ -71,6 +71,29 @@ def test_time_limit_must_be_positive(instance_path, tmp_path, limit, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
+    ("--solvers", "foo"), ("--solvers", "exact,"), ("--seeds", "0"), ("--seeds", "-2"), ("--seeds", "1,-1"),
+    ("--sizes", "-3"), ("--sizes", "0"), ("--sizes", "4,0"), ("--sizes", ","),
+])
+def test_bad_bench_arguments_are_usage_errors(tmp_path, flag, value, capsys):
+    out = tmp_path / "bench"
+    args = {"--seeds": "1", "--sizes": "3", "--solvers": "ts", flag: value}
+    argv = ["bench", "--time-limit", "1", "--out", str(out)]
+    for name, text in args.items():
+        argv += [name, text]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_gen_count_must_be_positive(tmp_path, count, capsys):
+    out = tmp_path / "batch"
+    assert main(["gen", "--seed", "3", "--count", count, "--events", "3", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "argument --count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
     ("--weights", "nan,1,1"), ("--weights", "inf,0,0"), ("--epsilon", "nan"), ("--epsilon", "inf"),
 ])
 def test_non_finite_weights_and_epsilon_are_usage_errors(instance_path, flag, value, capsys):

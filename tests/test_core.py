@@ -157,9 +157,9 @@ class TestValidate:
             assert [v.constraint_id for v in found] == [ConstraintId.OBJECTIVE], wrong
 
     def test_objective_is_checked_under_the_instance_weights(self, seed42):
-        w = normalize_weights(seed42, (0.2, 0.3, 0.5))
-        s = assemble_schedule(bfd_initial(seed42).order, seed42, w)
-        assert validate(s, replace(seed42, weights=w)) == []
+        weighted = replace(seed42, weights=normalize_weights(seed42, (0.2, 0.3, 0.5)))
+        s = assemble_schedule(bfd_initial(seed42).order, weighted)
+        assert validate(s, weighted) == []
         found = validate(s, seed42)
         assert [v.constraint_id for v in found] == [ConstraintId.OBJECTIVE]
 
@@ -241,7 +241,7 @@ class TestNormalizeWeights:
         w = normalize_weights(seed42, (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
         assert w.bounds == SEED42_BOUNDS
         # independent recomputation of the upper estimates from the BFD run
-        b = bfd_initial(seed42, w)
+        b = bfd_initial(replace(seed42, weights=w))
         assert route_distance(b, seed42) == pytest.approx(w.bounds[0][1], abs=1e-9)
         assert day_delay_sum(b, seed42) == pytest.approx(w.bounds[1][1], abs=1e-9)
         lower_d = sum(
@@ -315,7 +315,7 @@ class TestProperties:
         renorm = tuple(p / sum(scaled) for p in scaled)
         w1 = normalize_weights(seed42, prefs)
         w2 = normalize_weights(seed42, renorm)
-        assert oracle(seed42, w1).order == oracle(seed42, w2).order
+        assert oracle(replace(seed42, weights=w1)).order == oracle(replace(seed42, weights=w2)).order
 
     def test_extra_charge_never_lowers_later_ranges(self, seed42):
         s = oracle(seed42)

@@ -122,7 +122,7 @@ class TestAlns:
             removed = sorted(int(u) for u in rng.choice(removable, size=3, replace=False))
             base = [u for u in start.order if u not in set(removed)]
             exact = solve_completion(seed42, base, removed)
-            constructive = _repair_constructive(_RunMemo(seed42, seed42.weights), base, removed)
+            constructive = _repair_constructive(_RunMemo(seed42), base, removed)
             if constructive is None:
                 continue
             assert exact is not None
@@ -368,9 +368,9 @@ class TestRunMemo:
         real_retime = meta._retime
         real_lookup = _RunMemo.assemble
 
-        def counting_assemble(order, inst, weights=None, **kw):
+        def counting_assemble(order, inst, **kw):
             assembled[tuple(order)] += 1
-            return real_assemble(order, inst, weights, **kw)
+            return real_assemble(order, inst, **kw)
 
         def counting_retime(order, *args):
             got = real_retime(order, *args)

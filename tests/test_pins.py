@@ -10,16 +10,32 @@ output, which covers every float bit for bit.  A change that is meant to
 leave solver outputs alone must leave every pin here as it is.  ALNS and
 ACO draw from numpy's generator, whose streams may differ across numpy
 versions; ``TestRunMemo`` in ``test_meta.py`` covers them instead.
+
+The same outputs are pinned a second time under the preferences
+(0.2, 0.3, 0.5), normalised against each instance and carried by the
+instance, so the end-charge term weighs in and the planner's end-charge
+rounds run.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from evroute import Move, SearchTrace, TsParams, assemble_schedule, bfd_initial, load, tabu_search
+from evroute import (
+    Move,
+    SearchTrace,
+    TsParams,
+    assemble_schedule,
+    bfd_initial,
+    load,
+    normalize_weights,
+    tabu_search,
+)
 
 DATA = Path(__file__).parent / "data"
+PREFS = (0.2, 0.3, 0.5)
 
 
 def digest(value) -> str:
@@ -34,6 +50,10 @@ def day():
 @pytest.fixture(scope="module")
 def multiday():
     return load(DATA / "pin_multiday.json")
+
+
+def weighted(inst):
+    return replace(inst, weights=normalize_weights(inst, PREFS))
 
 
 def pinned_orders(base):
@@ -117,6 +137,109 @@ ASSEMBLY_PINS = [
     ),
 ]
 
+WEIGHTED_BFD_PINS = {
+    "day": (
+        0.5044181609855549,
+        (0, 3, 2, 1, 5, 4, 7, 8, 6, 9, 10),
+        '01fc07c32b141d8dffa29aafbfd7e6d97f6eff1796c03f0fbf185ea07f2d42eb',
+    ),
+    "multiday": (
+        0.6536909636793562,
+        (0, 3, 4, 5, 6, 7, 2, 8, 1, 9, 10, 11, 19, 12, 15, 13, 14, 16, 17, 21, 18, 20, 22, 25, 24, 26, 23, 27, 32, 30, 28, 29, 31, 33, 34),
+        'aff7ef7a416d0be91a46bf453b9b527ab3dc03cb346c92482cb18b03b9580b9c',
+    ),
+}
+WEIGHTED_TABU_PINS = {
+    "day": (
+        0.5023575984951345,
+        (0, 3, 2, 1, 5, 7, 4, 8, 6, 9, 10),
+        '241642bf6bedc4d1a28dbdd39774179492f40c2f69b4e3bac1f7f705822f6dea',
+    ),
+    "multiday": (
+        0.4199269366143132,
+        (0, 3, 5, 6, 4, 7, 2, 8, 9, 1, 10, 11, 21, 19, 12, 15, 13, 14, 16, 17, 18, 20, 22, 25, 24, 23, 26, 27, 29, 30, 28, 32, 31, 33, 34),
+        'c816d348f2569733fa6515bb2635fc76858adadbcc41572349181b736a6a0508',
+    ),
+}
+WEIGHTED_ASSEMBLY_PINS = {
+    "day": [
+        None,
+        None,
+        None,
+        None,
+        None,
+        None,
+        None,
+        (
+            0.5044181609855549,
+            (0, 3, 2, 1, 5, 4, 7, 8, 6, 9, 10),
+            '01fc07c32b141d8dffa29aafbfd7e6d97f6eff1796c03f0fbf185ea07f2d42eb',
+        ),
+        (
+            0.5671217252518761,
+            (0, 3, 2, 1, 5, 7, 8, 6, 4, 9, 10),
+            'cb8c429c4a2ffb41319b12994b57afe812b02e43c6b7fe37c481ed89b9ad738c',
+        ),
+        None,
+        None,
+        None,
+        None,
+        None,
+        None,
+        None,
+        (
+            0.5044181609855549,
+            (0, 3, 2, 1, 5, 4, 7, 8, 6, 9, 10),
+            '01fc07c32b141d8dffa29aafbfd7e6d97f6eff1796c03f0fbf185ea07f2d42eb',
+        ),
+        None,
+        None,
+        None,
+    ],
+    "multiday": [
+        None,
+        None,
+        None,
+        None,
+        None,
+        None,
+        (
+            0.6721932865001756,
+            (0, 3, 4, 5, 6, 7, 2, 8, 1, 9, 10, 11, 19, 12, 15, 13, 14, 16, 17, 21, 18, 20, 22, 25, 24, 26, 23, 27, 32, 30, 28, 31, 29, 33, 34),
+            '9b79b39cf3cf844c9906d340311cefdc6c74a21a9fdd5be31e8bbe1c4a4d2853',
+        ),
+        None,
+        None,
+        None,
+        None,
+        None,
+        (
+            0.647123602634134,
+            (0, 3, 4, 5, 6, 7, 2, 8, 1, 9, 10, 11, 19, 12, 15, 13, 14, 16, 17, 21, 18, 20, 22, 25, 24, 26, 23, 27, 30, 32, 28, 29, 31, 33, 34),
+            '3d2405c2f18773999e12e4287c6813d3759fd34f66176f987cdf109109439091',
+        ),
+        (
+            0.6536909636793562,
+            (0, 3, 4, 5, 6, 7, 2, 8, 1, 9, 10, 11, 19, 12, 15, 13, 14, 16, 17, 21, 18, 20, 22, 25, 24, 26, 23, 27, 32, 30, 28, 29, 31, 33, 34),
+            'aff7ef7a416d0be91a46bf453b9b527ab3dc03cb346c92482cb18b03b9580b9c',
+        ),
+        None,
+        None,
+        None,
+        None,
+        (
+            0.6489083034698979,
+            (0, 3, 4, 5, 6, 7, 2, 8, 1, 9, 10, 11, 19, 12, 15, 13, 14, 16, 17, 21, 18, 20, 22, 25, 24, 23, 26, 27, 32, 30, 28, 29, 31, 33, 34),
+            '78378d97e1dd97a35a7e1c38624e64f35e838b7399bc330b63119e75ebc2689f',
+        ),
+        (
+            0.6818590774195235,
+            (0, 3, 4, 5, 6, 7, 2, 8, 1, 9, 10, 11, 19, 12, 15, 13, 14, 16, 17, 21, 18, 20, 22, 25, 24, 26, 23, 27, 32, 30, 31, 29, 28, 33, 34),
+            'aa7172619551084375d9fffab6d7e093464b96a9e2e7312fb77840d5ed52fadf',
+        ),
+    ],
+}
+
 
 @pytest.mark.parametrize("name", ["day", "multiday"])
 def test_bfd_initial_is_pinned(name, request):
@@ -140,3 +263,30 @@ def test_assembly_on_fixed_orders_is_pinned(multiday):
         for s in scheds
     ]
     assert got == ASSEMBLY_PINS
+
+
+@pytest.mark.parametrize("name", ["day", "multiday"])
+def test_weighted_bfd_initial_is_pinned(name, request):
+    inst = weighted(request.getfixturevalue(name))
+    assert inst.weights.wc > 0
+    sched = bfd_initial(inst)
+    assert (sched.objective, sched.order, digest(sched)) == WEIGHTED_BFD_PINS[name]
+
+
+@pytest.mark.parametrize("name, iterations", [("day", 50), ("multiday", 5)])
+def test_weighted_tabu_search_is_pinned(name, iterations, request):
+    trace = SearchTrace()
+    sched = tabu_search(weighted(request.getfixturevalue(name)), params=TsParams(iterations=iterations), trace=trace)
+    got = (sched.objective, sched.order, digest((sched, trace.best, trace.events)))
+    assert got == WEIGHTED_TABU_PINS[name]
+
+
+@pytest.mark.parametrize("name", ["day", "multiday"])
+def test_weighted_assembly_on_fixed_orders_is_pinned(name, request):
+    inst = weighted(request.getfixturevalue(name))
+    scheds = [assemble_schedule(order, inst) for order in pinned_orders(bfd_initial(inst).order)]
+    got = [
+        None if s is None else (s.objective, s.order, digest(s))
+        for s in scheds
+    ]
+    assert got == WEIGHTED_ASSEMBLY_PINS[name]
