@@ -55,6 +55,13 @@ def _parse_count(text: str) -> int:
     return x
 
 
+def _parse_seed(text: str) -> int:
+    x = int(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative seed, got {text!r}")
+    return x
+
+
 def _parse_sizes(text: str) -> tuple[int, ...]:
     return tuple(_parse_count(x) for x in text.split(","))
 
@@ -62,10 +69,7 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 def _parse_seeds(text: str) -> tuple[int, ...]:
     if "," not in text:
         return tuple(range(_parse_count(text)))
-    seeds = tuple(int(x) for x in text.split(","))
-    if min(seeds) < 0:
-        raise argparse.ArgumentTypeError(f"expected non-negative seeds, got {text!r}")
-    return seeds
+    return tuple(_parse_seed(x) for x in text.split(","))
 
 
 def _parse_solvers(text: str) -> tuple[str, ...]:
@@ -80,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate instance files")
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=_parse_seed, required=True)
     g.add_argument("--count", type=_parse_count, default=1, help="number of consecutive seeds")
     g.add_argument("--out", required=True, help="output file (count=1) or directory")
     g.add_argument("--events", type=int, default=None, help="exact event count")
@@ -94,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("instance", help="instance JSON path")
     s.add_argument("--solver", choices=SOLVER_IDS, default="hybrid")
     s.add_argument("--time-limit", type=_parse_positive, default=15.0)
-    s.add_argument("--seed", type=int, default=0, help="solver RNG seed")
+    s.add_argument("--seed", type=_parse_seed, default=0, help="solver RNG seed")
     s.add_argument("--weights", type=_parse_triple, default=None, metavar="WD,WT,WC",
                    help="preference triple, renormalized against the instance")
     s.add_argument("--epsilon", type=_parse_non_negative, default=None)
@@ -125,6 +129,11 @@ def _cmd_gen(args) -> int:
         event_count=args.events,
     )
     seeds = range(args.seed, args.seed + args.count)
+    try:
+        configs = [GenConfig(seed=seed, **cfg_kwargs) for seed in seeds]
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     out = Path(args.out)
     if args.count == 1:
         paths = [out]
@@ -132,8 +141,8 @@ def _cmd_gen(args) -> int:
     else:
         out.mkdir(parents=True, exist_ok=True)
         paths = [out / f"instance_{seed}.json" for seed in seeds]
-    for seed, path in zip(seeds, paths):
-        inst = generate(GenConfig(seed=seed, **cfg_kwargs))
+    for cfg, path in zip(configs, paths):
+        inst = generate(cfg)
         save(inst, path)
         print(path)
     return EXIT_OK

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +31,22 @@ class NodeKind(enum.Enum):
     FLEXIBLE = "flexible"
     SEPARATOR = "separator"
     END = "end"
+
+
+# Kind codes of NodeTiming: how a node's arrival is bounded below.
+PINNED = 0     # fixed event: arrives at its pin less the walk
+WINDOWED = 1   # start, flexible event, end: waits for a_min less the walk
+DAY_END = 2    # separator: waits for its day reference plus the walk
+
+
+class NodeTiming(NamedTuple):
+    """One node's row of :attr:`Instance.timing`."""
+
+    kind: int             # PINNED, WINDOWED or DAY_END
+    duration: float
+    a_max: float
+    base: float | None    # pin, a_min, or day reference (None on the first day)
+    top: float            # a_max - duration: the latest arrival without a walk
 
 
 class ConstraintId(str, enum.Enum):
@@ -243,6 +259,21 @@ class Instance:
         first day, which is measured from the route start."""
         refs = [None, *(self.nodes[u].a_max for u in self.separators[:-1])]
         return dict(zip(self.separators, refs))
+
+    @cached_property
+    def timing(self) -> tuple[NodeTiming, ...]:
+        """Per node, what the time-chain step reads: kind code, duration,
+        latest departure, base time and latest arrival without a walk."""
+        rows = []
+        for nd in self.nodes:
+            if nd.kind is NodeKind.FIXED:
+                kind, base = PINNED, nd.fixed_arrival
+            elif nd.kind is NodeKind.SEPARATOR:
+                kind, base = DAY_END, self.day_ref[nd.id]
+            else:
+                kind, base = WINDOWED, nd.a_min
+            rows.append(NodeTiming(kind, nd.duration, nd.a_max, base, nd.a_max - nd.duration))
+        return tuple(rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):

@@ -69,6 +69,8 @@ class GenConfig:
     event_count: int | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.max_events < 1:
             raise ValueError("max_events must be at least 1")
         if self.max_days < 1:

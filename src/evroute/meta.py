@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, compress
@@ -19,11 +20,12 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Instance, NodeKind, Schedule, Weights, objective_lower_bound
+from .core import DAY_END, Instance, NodeKind, Schedule, Weights, objective_lower_bound
 from .errors import NoSolutionFoundError
 from .exact import solve_completion
 from .schedule import (
     _retime,
+    _route_start,
     _time_step,
     anchored_sequence,
     assemble_schedule,
@@ -590,55 +592,70 @@ def pheromone_update(
     return out
 
 
-def _construct_route(inst, anchored, tau, eta, p, rng):
-    """One ant's route, or None on a dead end.
+def _by_top(inst: Instance) -> list[tuple[float, int]]:
+    """The interior nodes as ``(top, id)`` pairs in ascending order, ``top``
+    being the latest arrival without a walk plus 1e-6, closed by ``(inf,
+    n - 1)``: the list :func:`_construct_route` reads window tops from."""
+    by_top = sorted((t.top + 1e-6, u) for u, t in enumerate(inst.timing[1:-1], 1))
+    by_top.append((math.inf, inst.n - 1))
+    return by_top
+
+
+def _construct_route(inst, anchored, by_top, tau, eta, p, rng):
+    """One ant's route with its arrivals without stops, or None on a dead
+    end.
 
     Candidates must keep the anchored total order, be reachable inside
     their own window and leave the next pending anchored node reachable;
-    an ant with no admissible candidate abandons the route.  Arrivals are
-    propagated without charging.
+    an ant with no admissible candidate abandons the route.  So the open
+    candidates are the unvisited flexible events, in id order, and the
+    pending anchored node at its id position.  ``by_top`` comes from
+    :func:`_by_top`.  The arrivals come back per node, the end node's left
+    NaN: the route start, then one time step per visit.
     """
     n = inst.n
-    nodes = inst.nodes
+    timing = inst.timing
     rank = inst.anchor_rank
     visited = [False] * n
+    free = [v for v in range(1, n - 1) if v not in rank]
     order = [0]
+    arrival = [math.nan] * n
     current = 0
-    a0 = a_cur = max(0.0, nodes[0].a_min)
+    a0 = a_cur = arrival[0] = _route_start(inst, 0.0)[0]
     next_anchor = 0
-    tops = [nd.a_max - nd.duration + 1e-6 for nd in nodes]
+    pending = anchored[0] if anchored else None
+    first = second = 0  # by_top positions of the two tightest unvisited tops
     for _ in range(n - 2):
-        pending = anchored[next_anchor] if next_anchor < len(anchored) else None
         # arrivals never decrease along a route, so a candidate whose
         # departure outruns any other unvisited window top strands that
-        # node; the two tightest tops decide it for every candidate
-        top1 = top2 = math.inf
-        tightest = None
-        for u in range(1, n - 1):
-            if not visited[u]:
-                t = tops[u]
-                if t < top1:
-                    top1, top2, tightest = t, top1, u
-                elif t < top2:
-                    top2 = t
+        # node; the two tightest tops decide it for every candidate (the
+        # end node is never visited, so the scans stop at it)
+        while visited[by_top[first][1]]:
+            first += 1
+        top1, tightest = by_top[first]
+        if second <= first:
+            second = first + 1
+        while visited[by_top[second][1]]:
+            second += 1
+        top2 = by_top[second][0]
+        if pending is None:
+            open_ = free
+        else:
+            open_ = free.copy()
+            insort(open_, pending)
         cands = []
         arrivals = []
-        for v in range(1, n - 1):
-            if visited[v]:
-                continue
-            r = rank.get(v)
-            if r is not None and r != next_anchor:
-                continue
+        for v in open_:
             a_v = _time_step(inst, current, a_cur, 0.0, v, 0.0, a0)
             if a_v is None:
+                continue
+            kind, duration, a_max, _, _ = timing[v]
+            dep_v = a_max if kind == DAY_END else a_v + duration
+            if dep_v > (top2 if v == tightest else top1):
                 continue
             if pending is not None and v != pending:
                 if _time_step(inst, v, a_v, 0.0, pending, 0.0, a0) is None:
                     continue
-            node_v = nodes[v]
-            dep_v = node_v.a_max if node_v.kind is NodeKind.SEPARATOR else a_v + node_v.duration
-            if dep_v > (top2 if v == tightest else top1):
-                continue
             cands.append(v)
             arrivals.append(a_v)
         if not cands:
@@ -653,14 +670,17 @@ def _construct_route(inst, anchored, tau, eta, p, rng):
             p.beta,
             rng,
         )
-        a_cur = arrivals[cands.index(chosen)]
+        a_cur = arrival[chosen] = arrivals[cands.index(chosen)]
         visited[chosen] = True
         order.append(chosen)
-        if chosen in rank:
+        if chosen == pending:
             next_anchor += 1
+            pending = anchored[next_anchor] if next_anchor < len(anchored) else None
+        else:
+            free.remove(chosen)
         current = chosen
     order.append(n - 1)
-    return order
+    return order, arrival
 
 
 def aco(
@@ -691,15 +711,22 @@ def aco(
     eta = eta.tolist()
     tau = np.full((n, n), p.tau0, dtype=float)
     memo = _RunMemo(inst)
+    by_top = _by_top(inst)
+    # a route comes timed up to its last visit; the memo times the step into
+    # the end node, or the whole route when the start window breaks, and
+    # remembers a route that fails as None
+    started = _route_start(inst, 0.0)[1]
     best: Schedule | None = None
     for it in range(p.iterations):
         tau_rows = tau.tolist()
         solutions = []
         for _ in range(p.ants):
-            order = _construct_route(inst, anchored, tau_rows, eta, p, rng)
-            if order is None:
+            route = _construct_route(inst, anchored, by_top, tau_rows, eta, p, rng)
+            if route is None:
                 continue
-            sched = memo.assemble(order)
+            order, arrival = route
+            last = len(order) - 1
+            sched = memo.assemble(order, arrival, last if started else 0, last + 1)
             if sched is not None:
                 solutions.append(sched)
         for s in solutions:

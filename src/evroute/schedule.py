@@ -11,6 +11,8 @@ import math
 from typing import Sequence
 
 from .core import (
+    DAY_END,
+    PINNED,
     Instance,
     NodeKind,
     RANGE_TOL,
@@ -55,31 +57,42 @@ def _time_step(
     walk, then travels and walks to ``v``.  Fixed events are pinned to their
     arrival less the walk, other nodes wait for their window, separators for
     their day reference.  Returns None when the pin or the window top of
-    ``v`` breaks.
+    ``v`` breaks.  Both nodes are read from :attr:`Instance.timing`.
     """
-    nodes = inst.nodes
-    pn = nodes[prev]
-    if pn.kind is NodeKind.SEPARATOR:
-        lb = pn.a_max + w_prev + inst.travel_rows[prev][v] + w_v
+    timing = inst.timing
+    kind, duration, a_max, _, _ = timing[prev]
+    if kind == DAY_END:
+        lb = a_max + w_prev + inst.travel_rows[prev][v] + w_v
     else:
-        lb = a_prev + pn.duration + 2.0 * w_prev + inst.travel_rows[prev][v] + w_v
-    node = nodes[v]
-    if node.kind is NodeKind.FIXED:
-        a_v = node.fixed_arrival - w_v
+        lb = a_prev + duration + 2.0 * w_prev + inst.travel_rows[prev][v] + w_v
+    kind, _, _, base, top = timing[v]
+    if kind == PINNED:
+        a_v = base - w_v
         if lb > a_v + TIME_TOL:
             return None
     else:
         # Separator lower bounds add the walk; windowed nodes subtract it.
-        if node.kind is NodeKind.SEPARATOR:
-            ref = inst.day_ref[v]
-            a_v = (a0 if ref is None else ref) + w_v
+        if kind == DAY_END:
+            a_v = (a0 if base is None else base) + w_v
         else:
-            a_v = node.a_min - w_v
+            a_v = base - w_v
         if not a_v > lb:  # max(lb, a_v), NaN included, without a builtin call in the hot loop
             a_v = lb
-    if a_v > node.a_max - node.duration - w_v + TIME_TOL:
+    if a_v > top - w_v + TIME_TOL:
         return None
     return a_v
+
+
+def _route_start(inst: Instance, w0: float) -> tuple[float, bool]:
+    """The route start under the start node's charger walk ``w0``, and
+    whether the start node's window holds it.
+
+    The start is the start node's own earliest arrival less the walk, never
+    before 0: later arrivals only delay the chain, so the window lower
+    bound is the earliest start that can ever be feasible.
+    """
+    a0 = max(0.0, inst.nodes[0].a_min - w0)
+    return a0, not a0 > inst.timing[0].top - w0 + TIME_TOL
 
 
 def propagate_times(order: Sequence[int], charge: Sequence[int], inst: Instance) -> TimedOrder:
@@ -87,13 +100,11 @@ def propagate_times(order: Sequence[int], charge: Sequence[int], inst: Instance)
 
     Fixed nodes are pinned to their constant arrival shifted by the walk to
     the charger; other nodes are clamped into their windows, separators
-    against the previous day's reference.  The start time is the start
-    node's own earliest arrival: later arrivals only delay the chain, so the
-    window lower bound is the earliest start that can ever be feasible.
-    Returns ``feasible_times=False`` when any clamp fails, with the arrivals
-    from the failing node on left NaN.  ``order`` may be a partial order
-    (missing interior nodes) as long as it runs from the start node to the
-    end node.
+    against the previous day's reference.  The route starts as
+    :func:`_route_start` says.  Returns ``feasible_times=False`` when any
+    clamp fails, with the arrivals from the failing node on left NaN.
+    ``order`` may be a partial order (missing interior nodes) as long as it
+    runs from the start node to the end node.
     """
     nodes = inst.nodes
     n = len(nodes)
@@ -101,12 +112,11 @@ def propagate_times(order: Sequence[int], charge: Sequence[int], inst: Instance)
         raise ValueError("order must run from the start node to the end node")
     walk = inst.walk
     arrival = [math.nan] * n
-    start = nodes[0]
     w_prev = walk[0] if charge[0] else 0.0
-    a_prev = a0 = max(0.0, start.a_min - w_prev)
-    if a0 > start.a_max - start.duration - w_prev + TIME_TOL:
+    a0, started = _route_start(inst, w_prev)
+    if not started:
         return TimedOrder(tuple(order), tuple(arrival), False)
-    arrival[0] = a0
+    arrival[0] = a_prev = a0
     prev = 0
     for u in order[1:]:
         w_u = walk[u] if charge[u] else 0.0

@@ -2,14 +2,18 @@
 
 Everything here recomputes expected values along a different path than the
 library code: the linear program below re-states the timing constraints for
-scipy's solver, the grid searches enumerate alternatives directly, and the
-recomputing run memory prices every order a solver asks for in full.
+scipy's solver, the grid searches enumerate alternatives directly, the
+recomputing run memory prices every order a solver asks for in full, and
+the reference time-chain step and ant construction read node attributes
+and scan every node where the library reads its per-node timing table and
+open candidates.
 """
 
 import math
 
 from evroute import Instance, NodeKind, Schedule, meta
-from evroute.meta import _RunMemo
+from evroute.core import TIME_TOL
+from evroute.meta import _RunMemo, aco_select
 
 _GRID_MARGIN = 8  # minutes explored above each chain/window lower bound
 
@@ -279,6 +283,95 @@ def reference_assemble(order, inst):
         return None
     obj = objective_value(order, timed.arrival, charge, ranges, inst)
     return Schedule(tuple(order), timed.arrival, tuple(charge), gains, ranges, obj)
+
+
+def reference_time_step(inst, prev, a_prev, w_prev, v, w_v, a0):
+    """The time-chain step read from node attributes and kinds, as
+    ``schedule._time_step`` computed it before the per-node timing table;
+    the float expressions are the same, in the same order."""
+    nodes = inst.nodes
+    pn = nodes[prev]
+    if pn.kind is NodeKind.SEPARATOR:
+        lb = pn.a_max + w_prev + inst.travel_rows[prev][v] + w_v
+    else:
+        lb = a_prev + pn.duration + 2.0 * w_prev + inst.travel_rows[prev][v] + w_v
+    node = nodes[v]
+    if node.kind is NodeKind.FIXED:
+        a_v = node.fixed_arrival - w_v
+        if lb > a_v + TIME_TOL:
+            return None
+    else:
+        if node.kind is NodeKind.SEPARATOR:
+            ref = inst.day_ref[v]
+            a_v = (a0 if ref is None else ref) + w_v
+        else:
+            a_v = node.a_min - w_v
+        if not a_v > lb:
+            a_v = lb
+    if a_v > node.a_max - node.duration - w_v + TIME_TOL:
+        return None
+    return a_v
+
+
+def reference_construct_route(inst, anchored, tau, eta, p, rng):
+    """One ant's route by a full scan of every interior node per step, as
+    ``meta._construct_route`` built it before it kept the open candidates
+    and a list of window tops: the order, or None on a dead end."""
+    n = inst.n
+    nodes = inst.nodes
+    rank = inst.anchor_rank
+    visited = [False] * n
+    order = [0]
+    current = 0
+    a0 = a_cur = max(0.0, nodes[0].a_min)
+    next_anchor = 0
+    tops = [nd.a_max - nd.duration + 1e-6 for nd in nodes]
+    for _ in range(n - 2):
+        pending = anchored[next_anchor] if next_anchor < len(anchored) else None
+        top1 = top2 = math.inf
+        tightest = None
+        for u in range(1, n - 1):
+            if not visited[u]:
+                t = tops[u]
+                if t < top1:
+                    top1, top2, tightest = t, top1, u
+                elif t < top2:
+                    top2 = t
+        cands = []
+        arrivals = []
+        for v in range(1, n - 1):
+            if visited[v]:
+                continue
+            r = rank.get(v)
+            if r is not None and r != next_anchor:
+                continue
+            a_v = reference_time_step(inst, current, a_cur, 0.0, v, 0.0, a0)
+            if a_v is None:
+                continue
+            if pending is not None and v != pending:
+                if reference_time_step(inst, v, a_v, 0.0, pending, 0.0, a0) is None:
+                    continue
+            node_v = nodes[v]
+            dep_v = node_v.a_max if node_v.kind is NodeKind.SEPARATOR else a_v + node_v.duration
+            if dep_v > (top2 if v == tightest else top1):
+                continue
+            cands.append(v)
+            arrivals.append(a_v)
+        if not cands:
+            return None
+        tau_row = tau[current]
+        eta_row = eta[current]
+        chosen = aco_select(
+            cands, [tau_row[v] for v in cands], [eta_row[v] for v in cands], p.alpha, p.beta, rng
+        )
+        a_cur = arrivals[cands.index(chosen)]
+        visited[chosen] = True
+        order.append(chosen)
+        if chosen in rank:
+            next_anchor += 1
+        current = chosen
+    order.append(n - 1)
+    return order
 
 
 def route_distance(s: Schedule, inst: Instance) -> float:

@@ -141,3 +141,19 @@ def test_solve_rejects_a_schedule_that_fails_validation(instance_path, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "rangeChain at" in captured.err
+
+
+def test_gen_rejects_a_bad_config_before_writing(tmp_path, capsys):
+    out = tmp_path / "batch"
+    assert main(["gen", "--seed", "1", "--count", "2", "--events", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "event_count" in capsys.readouterr().err
+
+
+def test_negative_seeds_are_usage_errors(instance_path, tmp_path, capsys):
+    out = tmp_path / "neg.json"
+    assert main(["gen", "--seed", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "argument --seed" in capsys.readouterr().err
+    assert main(["solve", str(instance_path), "--solver", "aco", "--seed", "-1"]) == 2
+    assert "argument --seed" in capsys.readouterr().err

@@ -46,6 +46,10 @@ class TestGenerate:
             inst = generate(GenConfig(seed=3, event_count=ev))
             assert inst.event_count == ev
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            GenConfig(seed=-1)
+
     def test_too_dense_request_fails_loudly(self):
         with pytest.raises(GenerationFailedError):
             generate(GenConfig(seed=0, max_days=1, event_count=MAX_EVENTS_PER_DAY + 1))

@@ -254,6 +254,17 @@ class TestAco:
         b = aco(seed42, params=p, rng_seed=9)
         assert a.order == b.order and a.objective == b.objective
 
+    def test_routes_fail_without_assembly_when_the_start_window_breaks(self, seed42, monkeypatch):
+        # the route starts at 0, after the start node's window has closed:
+        # every ant route fails its timing and none reaches the planner
+        start = replace(seed42.nodes[0], a_min=-30.0, a_max=-20.0, duration=0.0)
+        inst = replace(seed42, nodes=(start, *seed42.nodes[1:]))
+        assembled = []
+        monkeypatch.setattr(meta, "assemble_schedule", lambda *args, **kw: assembled.append(args))
+        with pytest.raises(NoSolutionFoundError):
+            aco(inst, params=AcoParams(iterations=3), rng_seed=0)
+        assert assembled == []
+
 
 class TestSearchTrace:
     def test_round_trip_keeps_order_and_types(self):

@@ -44,10 +44,23 @@ from evroute import (
 )
 from evroute import meta
 from evroute.errors import GenerationFailedError, NoInitialSolutionError, NoSolutionFoundError
-from evroute.meta import _admissible_moves, _moves, _valid_positions
-from evroute.schedule import _retime
+from evroute.meta import (
+    ETA_EPS,
+    _RunMemo,
+    _admissible_moves,
+    _by_top,
+    _construct_route,
+    _moves,
+    _valid_positions,
+)
+from evroute.schedule import _retime, _time_step
 
-from helpers import RecomputingMemo, reference_assemble
+from helpers import (
+    RecomputingMemo,
+    reference_assemble,
+    reference_construct_route,
+    reference_time_step,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=50,
@@ -403,3 +416,90 @@ def test_tabu_search_equals_full_pricing(data):
     remembered = run()
     with mock.patch.object(meta, "_RunMemo", RecomputingMemo):
         assert run() == remembered
+
+
+# minutes with awkward binary fractions, so that sums round
+_MINUTES = st.integers(0, 10**7).map(lambda k: k / 6143.0)
+
+
+@st.composite
+def kind_instances(draw):
+    """An instance holding one node of every kind, a first-day and a
+    later-day separator, and random fractional times and travel."""
+    count = 6  # start, fixed, flexible, first separator, second separator, end
+    travel = np.array(draw(st.lists(st.lists(_MINUTES, min_size=count, max_size=count),
+                                    min_size=count, max_size=count)))
+    np.fill_diagonal(travel, 0.0)
+
+    def window():
+        a_min, duration, slack = draw(_MINUTES), draw(_MINUTES), draw(_MINUTES)
+        return a_min, a_min + duration + slack, duration
+
+    def charging():
+        walk = draw(st.integers(1, 10**5)) / 4999.0
+        return draw(st.sampled_from([None, ChargingOption(walk, 1.0, 50.0)]))
+
+    a_min, a_max, duration = window()
+    pin = min(a_min + draw(st.floats(0.0, 1.0)) * (a_max - duration - a_min), a_max - duration)
+    if pin < a_min:  # rounding left no room for a pin
+        reject()
+    sep1 = draw(_MINUTES)
+    sep2 = sep1 + draw(_MINUTES)
+    nodes = (
+        EventNode(0, NodeKind.START, *window(), charging=charging()),
+        EventNode(1, NodeKind.FIXED, a_min, a_max, duration, fixed_arrival=pin, charging=charging()),
+        EventNode(2, NodeKind.FLEXIBLE, *window(), charging=charging()),
+        EventNode(3, NodeKind.SEPARATOR, 0.0, sep1, 0.0, charging=charging()),
+        EventNode(4, NodeKind.SEPARATOR, 0.0, sep2, 0.0, charging=charging()),
+        EventNode(5, NodeKind.END, *window()),
+    )
+    return Instance(nodes=nodes, dist=travel, travel=travel, k_min=0.0, k_max=100.0,
+                    k_start=100.0, separators=(3, 4))
+
+
+@PROPERTY_SETTINGS
+@given(kind_instances(), st.data())
+def test_table_time_step_equals_the_attribute_step(inst, data):
+    # every ordered pair of kinds (the first-day separator 3 and the
+    # later-day separator 4 apart), charging at neither, one or both ends
+    assert inst.day_ref == {3: None, 4: inst.nodes[3].a_max}
+    a_prev = data.draw(_MINUTES)
+    a0 = data.draw(_MINUTES)
+    for prev in range(inst.n - 1):
+        for v in range(1, inst.n):
+            if v == prev:
+                continue
+            for w_prev in {0.0, inst.walk[prev]}:
+                for w_v in {0.0, inst.walk[v]}:
+                    got = _time_step(inst, prev, a_prev, w_prev, v, w_v, a0)
+                    want = reference_time_step(inst, prev, a_prev, w_prev, v, w_v, a0)
+                    assert repr(got) == repr(want), (prev, v, w_prev, w_v)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(st.data())
+def test_ant_construction_equals_the_full_scan(data):
+    inst = data.draw(st.one_of(instances(max_nodes=12), multiday_instances()))
+    n = inst.n
+    p = AcoParams()
+    w = inst.weights
+    eta = (1.0 / (w.wd * inst.dist + w.wt * inst.travel + ETA_EPS)).tolist()
+    tau = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(0.01, 2.0, (n, n)).tolist()
+    anchored = meta.anchored_sequence(inst)
+    by_top = _by_top(inst)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    memo = _RunMemo(inst)
+    for _ in range(8):
+        route = _construct_route(inst, anchored, by_top, tau, eta, p, rng)
+        want = reference_construct_route(inst, anchored, tau, eta, p, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert (route is None) == (want is None)
+        if route is None:
+            continue
+        order, arrival = route
+        assert order == want
+        # as aco hands it over: the memo times the step into the end node
+        last = len(order) - 1
+        got = memo.assemble(order, arrival, last, last + 1)
+        assert repr(got) == repr(assemble_schedule(order, inst))
