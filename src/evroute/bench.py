@@ -37,6 +37,9 @@ class BenchConfig:
 
     ``sizes`` are exact event counts; every (size, seed) pair becomes one
     generated instance and one CSV row per attempted solver.
+    ``per_run_time_limit`` reaches only the exact search: the ``exact``
+    solver and ``hybrid``'s exact branch.  Tabu search, ALNS and ACO run
+    all their iterations (ROADMAP item 3 gives them a deadline).
     """
 
     out_dir: str

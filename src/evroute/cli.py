@@ -82,6 +82,8 @@ def _parse_solvers(text: str) -> tuple[str, ...]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="evroute", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    time_limit_help = ("seconds for the exact search (exact, and hybrid's exact branch); "
+                       "ts, alns and aco run all their iterations")
 
     g = sub.add_parser("gen", help="generate instance files")
     g.add_argument("--seed", type=_parse_seed, required=True)
@@ -97,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve one instance file")
     s.add_argument("instance", help="instance JSON path")
     s.add_argument("--solver", choices=SOLVER_IDS, default="hybrid")
-    s.add_argument("--time-limit", type=_parse_positive, default=15.0)
+    s.add_argument("--time-limit", type=_parse_positive, default=15.0, help=time_limit_help)
     s.add_argument("--seed", type=_parse_seed, default=0, help="solver RNG seed")
     s.add_argument("--weights", type=_parse_triple, default=None, metavar="WD,WT,WC",
                    help="preference triple, renormalized against the instance")
@@ -110,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sizes", type=_parse_sizes, default=(4, 6, 8), help="comma-separated event counts")
     b.add_argument("--solvers", type=_parse_solvers, default=("exact", "ts", "alns", "aco"),
                    help=f"comma-separated subset of {','.join(SOLVER_IDS)}")
-    b.add_argument("--time-limit", type=_parse_positive, default=15.0)
+    b.add_argument("--time-limit", type=_parse_positive, default=15.0, help=time_limit_help)
     b.add_argument("--out", required=True, help="output directory")
 
     l = sub.add_parser("lp", help="emit the Big-M linear model as text")

@@ -23,6 +23,7 @@ from .core import (
 from .errors import InstanceTooLargeError, NoInitialSolutionError
 from .schedule import (
     _range_pass,
+    _route_start,
     _time_step,
     anchored_sequence,
     assemble_schedule,
@@ -172,7 +173,7 @@ class _Search:
         n = inst.n
         self.min_out = [min(dist[u][v] for v in range(n) if v != u) for u in range(n)]
         # Smallest start time over both charging choices at the start node.
-        self.a0_floor = max(0.0, inst.nodes[0].a_min - inst.walk[0])
+        self.a0_floor = _route_start(inst, inst.walk[0])[0]
         self.best: Schedule | None = None
         self.best_obj = math.inf
         self.explored = 0
@@ -218,7 +219,7 @@ class _Search:
         rank = inst.anchor_rank
         day_ref = inst.day_ref
         min_out = self.min_out
-        a0 = max(0.0, inst.nodes[0].a_min)
+        a0 = _route_start(inst, 0.0)[0]
         removed = sorted(removed)
         placed_removed = [False] * n
         path = [0]

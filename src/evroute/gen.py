@@ -75,13 +75,20 @@ class GenConfig:
             raise ValueError("max_events must be at least 1")
         if self.max_days < 1:
             raise ValueError("max_days must be at least 1")
-        if self.area_km <= 0:
-            raise ValueError("area_km must be positive")
+        # written so that NaN fails every check
+        if not (math.inf > self.area_km > 0):
+            raise ValueError("area_km must be positive and finite")
+        if not (math.inf > self.speed_kmh > 0):
+            raise ValueError("speed_kmh must be positive and finite")
+        if not (math.inf > self.max_walk_meters >= 0):
+            raise ValueError("max_walk_meters must be non-negative and finite")
+        if self.stations_per_event < 1:
+            raise ValueError("stations_per_event must be at least 1")
         for p in (self.fixed_fraction, self.station_probability):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
-        if not 1.0 <= self.noise[0] <= self.noise[1]:
-            raise ValueError("noise range must satisfy 1 <= lo <= hi")
+        if not 1.0 <= self.noise[0] <= self.noise[1] < math.inf:
+            raise ValueError("noise range must satisfy 1 <= lo <= hi < inf")
         if self.event_count is not None and self.event_count < 1:
             raise ValueError("event_count must be at least 1 when given")
 

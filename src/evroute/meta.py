@@ -191,60 +191,40 @@ class _RunMemo:
 
     Maps each visit order to its assembled schedule (None when infeasible)
     and each deterministic ALNS repair, keyed by ``(operator, base,
-    removed)``, to its result.  Tabu search cycles and ants retrace routes,
-    so a revisit then costs one lookup instead of an assembly (Woodruff and
-    Zemel, "Hashing vectors for tabu search", 1993).  Beside each feasible
-    order whose timing without stops it was handed, it keeps those
-    arrivals, so a search that moves to that order re-times its next
-    candidates from them.  Each solver call makes its own and drops it on
+    removed)``, to its result.  Tabu search cycles, ants retrace routes and
+    random repairs redraw orders, so a revisit then costs one lookup instead
+    of a timing and an assembly (Woodruff and Zemel, "Hashing vectors for
+    tabu search", 1993).  Each solver call makes its own and drops it on
     return, so no state outlives the call.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self._seen: dict[tuple, Schedule | None] = {}
-        self._arrival: dict[tuple, Sequence[float]] = {}
         self._zeros = [0] * inst.n
 
     def assemble(
-        self,
-        order: Sequence[int],
-        arrival: Sequence[float] | None = None,
-        lo: int | None = None,
-        hi: int | None = None,
+        self, order: Sequence[int], arrival: Sequence[float] | None, lo: int, hi: int
     ) -> Schedule | None:
         """The order's schedule, assembled on its first request.
 
-        ``arrival``, when given, holds the order's feasible arrivals without
-        stops.  With ``lo`` and ``hi`` it holds those of a reference order
-        that differs from ``order`` only in positions ``lo`` to ``hi - 1``
-        instead, and a new order is first re-timed from ``lo``
-        (:func:`~evroute.schedule._retime`); one that fails is remembered as
-        None without an assembly.
+        ``arrival`` holds the arrivals without stops of a reference order
+        that differs from ``order`` only in positions ``lo`` to ``hi - 1``,
+        or None to time ``order`` in full.  A new order is first re-timed
+        from ``lo`` (:func:`~evroute.schedule._retime`); one that fails is
+        remembered as None without an assembly.
         """
         key = tuple(order)
         seen = self._seen
         sched = seen.get(key, _UNSEEN)  # one hash of the key on a revisit
         if sched is not _UNSEEN:
             return sched
-        if lo is not None:
-            arrival = _retime(key, self._zeros, arrival, lo, hi, self.inst)
-            if arrival is None:
-                seen[key] = None
-                return None
+        arrival = _retime(key, self._zeros, arrival, lo, hi, self.inst)
+        if arrival is None:
+            seen[key] = None
+            return None
         sched = seen[key] = assemble_schedule(key, self.inst, arrival=arrival)
-        if sched is not None and arrival is not None:
-            self._arrival[key] = arrival
         return sched
-
-    def arrival(self, order: Sequence[int]) -> Sequence[float]:
-        """Arrivals without stops of a feasible order: the ones kept beside
-        its schedule, else timed now and kept."""
-        key = tuple(order)
-        got = self._arrival.get(key)
-        if got is None:
-            got = self._arrival[key] = propagate_times(key, self._zeros, self.inst).arrival
-        return got
 
     def repair(self, key: tuple, compute: Callable[[], Schedule | None]) -> Schedule | None:
         seen = self._seen
@@ -316,11 +296,17 @@ def tabu_search(
     memo = _RunMemo(inst)
     assemble = memo.assemble
     moves = _moves(len(current.order))
+    zeros = [0] * inst.n
+    # arrivals without stops of each order the search has stood on; it
+    # cycles through few of them
+    arrivals: dict[tuple[int, ...], Sequence[float]] = {}
     for _ in range(p.iterations):
         chosen: tuple[Move, Schedule, bool] | None = None
         # a move changes only its span, so each candidate is re-timed from
         # the current order's arrivals
-        arrival = memo.arrival(current.order)
+        arrival = arrivals.get(current.order)
+        if arrival is None:
+            arrival = arrivals[current.order] = propagate_times(current.order, zeros, inst).arrival
         # current.order keeps the anchored order: BFD built it, or it passed
         # this screen
         for move, lo, hi in _admissible_moves(current.order, inst.anchor_rank, moves):
@@ -380,7 +366,6 @@ def _valid_positions(order: list[int], node: int, inst: Instance) -> list[int]:
 
 def _repair_random(memo, base, removed, rng):
     inst = memo.inst
-    zeros = [0] * inst.n
     for _ in range(_RANDOM_REPAIR_ATTEMPTS):
         order = list(base)
         ok = True
@@ -392,10 +377,7 @@ def _repair_random(memo, base, removed, rng):
             order.insert(positions[int(rng.integers(0, len(positions)))], int(m))
         if not ok:
             continue
-        timed = propagate_times(order, zeros, inst)
-        if not timed.feasible_times:
-            continue
-        sched = memo.assemble(order, timed.arrival)
+        sched = memo.assemble(order, None, 0, len(order))
         if sched is not None:
             return sched
     return None
@@ -435,7 +417,8 @@ def _repair_constructive(memo, base, removed):
                 break
         if not placed:
             return None
-    return memo.assemble(order, arrival)
+    # arrival already times the finished order: it is its own reference
+    return memo.assemble(order, arrival, len(order), len(order))
 
 
 def _probabilities(ops, op_weights) -> list[float]:

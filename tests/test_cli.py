@@ -150,6 +150,15 @@ def test_gen_rejects_a_bad_config_before_writing(tmp_path, capsys):
     assert "event_count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("area", ["nan", "inf"])
+def test_gen_rejects_a_non_finite_area_before_writing(tmp_path, capsys, area):
+    out = tmp_path / "batch"
+    assert main(["gen", "--seed", "1", "--count", "2", "--events", "6", "--area-km", area,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "area_km" in capsys.readouterr().err
+
+
 def test_negative_seeds_are_usage_errors(instance_path, tmp_path, capsys):
     out = tmp_path / "neg.json"
     assert main(["gen", "--seed", "-1", "--out", str(out)]) == 2

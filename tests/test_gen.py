@@ -50,6 +50,25 @@ class TestGenerate:
         with pytest.raises(ValueError, match="seed"):
             GenConfig(seed=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("area_km", float("nan")),
+        ("area_km", float("inf")),
+        ("area_km", 0.0),
+        ("speed_kmh", 0.0),
+        ("speed_kmh", -40.0),
+        ("speed_kmh", float("nan")),
+        ("max_walk_meters", -1.0),
+        ("max_walk_meters", float("nan")),
+        ("max_walk_meters", float("inf")),
+        ("stations_per_event", 0),
+        ("noise", (1.0, float("nan"))),
+        ("noise", (1.0, float("inf"))),
+        ("noise", (float("nan"), 1.3)),
+    ])
+    def test_bad_setting_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GenConfig(seed=0, **{field: value})
+
     def test_too_dense_request_fails_loudly(self):
         with pytest.raises(GenerationFailedError):
             generate(GenConfig(seed=0, max_days=1, event_count=MAX_EVENTS_PER_DAY + 1))

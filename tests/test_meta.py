@@ -113,6 +113,33 @@ class TestAlns:
         p = AlnsParams()
         assert p.dod_scheme == "static" and p.dod_static == 0.5
 
+    @staticmethod
+    def _removal_sizes(inst, monkeypatch, scheme):
+        """The number of removed events per iteration of a 12-iteration run
+        with the constructive repair only, read from its repair keys."""
+        sizes = []
+
+        class Recording(_RunMemo):
+            def repair(self, key, compute):
+                sizes.append(len(key[2]))
+                return super().repair(key, compute)
+
+        monkeypatch.setattr(meta, "_RunMemo", Recording)
+        params = AlnsParams(dod_scheme=scheme, iterations=12, repair_set=("constructive",))
+        got = alns(inst, params=params, rng_seed=1)
+        assert validate(got, inst) == []
+        return sizes
+
+    def test_increasing_scheme_grows_the_removal(self, seed42, monkeypatch):
+        sizes = self._removal_sizes(seed42, monkeypatch, "increasing")
+        assert sizes == [1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
+
+    def test_random_scheme_draws_the_removal(self, seed42, monkeypatch):
+        sizes = self._removal_sizes(seed42, monkeypatch, "random")
+        assert len(sizes) == 12
+        assert all(1 <= k <= 6 for k in sizes)
+        assert len(set(sizes)) > 1
+
     def test_exact_repair_dominates_constructive_per_removal_set(self, seed42):
         rng = np.random.default_rng(3)
         removable = _removable(seed42)
