@@ -347,6 +347,18 @@ def separator_ref(u: int, s: Schedule, inst: Instance) -> float:
     return s.arrival[0] if ref is None else ref
 
 
+def _route_start(inst: Instance, w0: float) -> tuple[float, bool]:
+    """The route start under the start node's charger walk ``w0``, and
+    whether the start node's window holds it.
+
+    The start is the start node's own earliest arrival less the walk, never
+    before 0: later arrivals only delay the chain, so the window lower
+    bound is the earliest start that can ever be feasible.
+    """
+    a0 = max(0.0, inst.nodes[0].a_min - w0)
+    return a0, not a0 > inst.timing[0].top - w0 + TIME_TOL
+
+
 def _route_sums(order: Sequence[int], arrival: Sequence[float], inst: Instance) -> tuple[float, float]:
     """Route distance and summed day lengths: the objective's first two summands."""
     dist = inst.dist_rows
@@ -383,6 +395,27 @@ def objective_value(
         - w.wc * ranges[last]
         + inst.epsilon * stops
         + inst.epsilon * arrival[0]
+    )
+
+
+def objective_floor(order: Sequence[int], arrival: Sequence[float], inst: Instance) -> float:
+    """A lower bound on the objective of any schedule of ``order``.
+
+    ``arrival`` holds the order's arrivals without stops.  Charging walks
+    never make a departure or a separator arrival earlier, so the day
+    lengths cannot shrink; the end range is at most ``k_max``, the stop
+    count at least 0 and the route start at least its earliest under the
+    start node's walk.  The summands are added in the order
+    :func:`objective_value` adds them, and rounding is monotone, so the
+    floor holds in floating point too.
+    """
+    w = inst.weights
+    total_d, sep_total = _route_sums(order, arrival, inst)
+    return (
+        w.wd * total_d
+        + w.wt * sep_total
+        - w.wc * inst.k_max
+        + inst.epsilon * _route_start(inst, inst.walk[0])[0]
     )
 
 

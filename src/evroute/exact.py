@@ -18,12 +18,12 @@ from .core import (
     Instance,
     NodeKind,
     Schedule,
+    _route_start,
     objective_value,
 )
 from .errors import InstanceTooLargeError, NoInitialSolutionError
 from .schedule import (
     _range_pass,
-    _route_start,
     _time_step,
     anchored_sequence,
     assemble_schedule,

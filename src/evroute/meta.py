@@ -20,12 +20,20 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DAY_END, Instance, NodeKind, Schedule, Weights, objective_lower_bound
+from .core import (
+    DAY_END,
+    Instance,
+    NodeKind,
+    Schedule,
+    Weights,
+    _route_start,
+    objective_floor,
+    objective_lower_bound,
+)
 from .errors import NoSolutionFoundError
 from .exact import solve_completion
 from .schedule import (
     _retime,
-    _route_start,
     _time_step,
     anchored_sequence,
     assemble_schedule,
@@ -194,36 +202,51 @@ class _RunMemo:
     removed)``, to its result.  Tabu search cycles, ants retrace routes and
     random repairs redraw orders, so a revisit then costs one lookup instead
     of a timing and an assembly (Woodruff and Zemel, "Hashing vectors for
-    tabu search", 1993).  Each solver call makes its own and drops it on
-    return, so no state outlives the call.
+    tabu search", 1993).  An order screened out by its objective floor is
+    held apart with its arrivals without stops and its floor, so that a
+    revisit costs one lookup too, and a later, higher ceiling assembles it
+    from them.  Each solver call makes its own and drops it on return, so no
+    state outlives the call.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self._seen: dict[tuple, Schedule | None] = {}
+        self._screened: dict[tuple[int, ...], tuple[Sequence[float], float]] = {}
         self._zeros = [0] * inst.n
 
     def assemble(
-        self, order: Sequence[int], arrival: Sequence[float] | None, lo: int, hi: int
+        self, order: Sequence[int], arrival: Sequence[float] | None, lo: int, hi: int, ceiling: float
     ) -> Schedule | None:
-        """The order's schedule, assembled on its first request.
+        """The order's schedule, assembled on its first request whose
+        ``ceiling`` admits it.
 
         ``arrival`` holds the arrivals without stops of a reference order
         that differs from ``order`` only in positions ``lo`` to ``hi - 1``,
         or None to time ``order`` in full.  A new order is first re-timed
         from ``lo`` (:func:`~evroute.schedule._retime`); one that fails is
-        remembered as None without an assembly.
+        remembered as None without an assembly.  An order whose objective
+        floor (:func:`~evroute.core.objective_floor`) lies strictly above
+        ``ceiling`` cannot price at or below it: it comes back None,
+        unassembled, and is held for a later request.
         """
         key = tuple(order)
         seen = self._seen
         sched = seen.get(key, _UNSEEN)  # one hash of the key on a revisit
         if sched is not _UNSEEN:
             return sched
-        arrival = _retime(key, self._zeros, arrival, lo, hi, self.inst)
-        if arrival is None:
-            seen[key] = None
+        screened = self._screened
+        held = screened.get(key)
+        if held is None:
+            arrival = _retime(key, self._zeros, arrival, lo, hi, self.inst)
+            if arrival is None:
+                seen[key] = None
+                return None
+            held = screened[key] = (arrival, objective_floor(key, arrival, self.inst))
+        if held[1] > ceiling:
             return None
-        sched = seen[key] = assemble_schedule(key, self.inst, arrival=arrival)
+        del screened[key]
+        sched = seen[key] = assemble_schedule(key, self.inst, arrival=held[0])
         return sched
 
     def repair(self, key: tuple, compute: Callable[[], Schedule | None]) -> Schedule | None:
@@ -279,8 +302,12 @@ def tabu_search(
     Each iteration evaluates every move that keeps fixed events and
     separators in order, takes the best non-tabu feasible candidate (a tabu
     one only under aspiration, when it beats the best so far) and makes the
-    move's inverse tabu.  The search is deterministic; ``rng_seed`` is
-    accepted for interface symmetry only.
+    move's inverse tabu.  Within an iteration, a candidate whose objective
+    floor lies above the best choice so far is screened out before the
+    charging planner (Glover and Laguna, *Tabu Search*, 1997, candidate
+    lists); it could not have been chosen, so the search is unchanged.  The
+    search is deterministic; ``rng_seed`` is accepted for interface
+    symmetry only.
     """
     del rng_seed  # exhaustive neighborhood, nothing stochastic
     p = TsParams() if params is None else params
@@ -310,7 +337,10 @@ def tabu_search(
         # current.order keeps the anchored order: BFD built it, or it passed
         # this screen
         for move, lo, hi in _admissible_moves(current.order, inst.anchor_rank, moves):
-            sched = assemble(move.apply(current.order), arrival, lo, hi)
+            # only a strictly lower objective replaces the choice, so a
+            # candidate whose floor lies above it need not be assembled
+            ceiling = math.inf if chosen is None else chosen[1].objective
+            sched = assemble(move.apply(current.order), arrival, lo, hi, ceiling)
             if sched is None:
                 continue
             is_tabu = move in tabu[move.kind]
@@ -377,7 +407,7 @@ def _repair_random(memo, base, removed, rng):
             order.insert(positions[int(rng.integers(0, len(positions)))], int(m))
         if not ok:
             continue
-        sched = memo.assemble(order, None, 0, len(order))
+        sched = memo.assemble(order, None, 0, len(order), math.inf)
         if sched is not None:
             return sched
     return None
@@ -418,7 +448,7 @@ def _repair_constructive(memo, base, removed):
         if not placed:
             return None
     # arrival already times the finished order: it is its own reference
-    return memo.assemble(order, arrival, len(order), len(order))
+    return memo.assemble(order, arrival, len(order), len(order), math.inf)
 
 
 def _probabilities(ops, op_weights) -> list[float]:
@@ -473,7 +503,8 @@ def alns(
             frac = it / max(p.iterations - 1, 1)
             dod = 1 + math.floor((n_events - 1) * frac)
         else:
-            dod = int(rng.integers(1, n_events + 1))
+            # no draw without an event to remove
+            dod = int(rng.integers(1, n_events + 1)) if n_events else 0
         dod = min(max(dod, 1), n_events)
         removed = sorted(int(u) for u in rng.choice(removable, size=dod, replace=False))
         removed_set = set(removed)
@@ -709,7 +740,7 @@ def aco(
                 continue
             order, arrival = route
             last = len(order) - 1
-            sched = memo.assemble(order, arrival, last if started else 0, last + 1)
+            sched = memo.assemble(order, arrival, last if started else 0, last + 1, math.inf)
             if sched is not None:
                 solutions.append(sched)
         for s in solutions:

@@ -19,6 +19,7 @@ from .core import (
     Schedule,
     TIME_TOL,
     TimedOrder,
+    _route_start,
     objective_value,
 )
 from .errors import NoInitialSolutionError
@@ -81,18 +82,6 @@ def _time_step(
     if a_v > top - w_v + TIME_TOL:
         return None
     return a_v
-
-
-def _route_start(inst: Instance, w0: float) -> tuple[float, bool]:
-    """The route start under the start node's charger walk ``w0``, and
-    whether the start node's window holds it.
-
-    The start is the start node's own earliest arrival less the walk, never
-    before 0: later arrivals only delay the chain, so the window lower
-    bound is the earliest start that can ever be feasible.
-    """
-    a0 = max(0.0, inst.nodes[0].a_min - w0)
-    return a0, not a0 > inst.timing[0].top - w0 + TIME_TOL
 
 
 def propagate_times(order: Sequence[int], charge: Sequence[int], inst: Instance) -> TimedOrder:

@@ -31,7 +31,7 @@ from evroute import meta
 from evroute.errors import NoSolutionFoundError
 from evroute.meta import PHEROMONE_FLOOR, _repair_constructive, _removable, _RunMemo
 
-from conftest import SEED42_ORACLE_OBJECTIVE
+from conftest import SEED42_ORACLE_OBJECTIVE, two_node_instance
 from helpers import RecomputingMemo
 
 
@@ -139,6 +139,13 @@ class TestAlns:
         assert len(sizes) == 12
         assert all(1 <= k <= 6 for k in sizes)
         assert len(set(sizes)) > 1
+
+    @pytest.mark.parametrize("scheme", ["static", "increasing", "random"])
+    def test_every_scheme_runs_with_nothing_to_remove(self, scheme):
+        inst = two_node_instance()
+        got = alns(inst, params=AlnsParams(iterations=3, dod_scheme=scheme))
+        assert got.order == (0, 1)
+        assert validate(got, inst) == []
 
     def test_exact_repair_dominates_constructive_per_removal_set(self, seed42):
         rng = np.random.default_rng(3)
@@ -398,9 +405,13 @@ class TestRunMemo:
 
     def test_tabu_search_assembles_each_order_once(self, seed42, monkeypatch):
         # an order whose re-timing without stops fails is priced right there,
-        # without an assembly
+        # without an assembly; one whose objective floor lies above the
+        # iteration's best candidate so far is held, timed, for a later
+        # iteration, and never re-timed
         assembled = Counter()
         failed_timing = Counter()
+        timed = Counter()
+        screened = Counter()
         looked_up = Counter()
         real_assemble = meta.assemble_schedule
         real_retime = meta._retime
@@ -412,13 +423,18 @@ class TestRunMemo:
 
         def counting_retime(order, *args):
             got = real_retime(order, *args)
+            timed[tuple(order)] += 1
             if got is None:
                 failed_timing[tuple(order)] += 1
             return got
 
         def counting_lookup(memo, order, *timing):
-            looked_up[tuple(order)] += 1
-            return real_lookup(memo, order, *timing)
+            key = tuple(order)
+            looked_up[key] += 1
+            got = real_lookup(memo, order, *timing)
+            if key in memo._screened:
+                screened[key] += 1
+            return got
 
         monkeypatch.setattr(meta, "assemble_schedule", counting_assemble)
         monkeypatch.setattr(meta, "_retime", counting_retime)
@@ -426,7 +442,13 @@ class TestRunMemo:
         tabu_search(seed42, params=TsParams(iterations=200))
         assert max(assembled.values()) == 1
         assert max(failed_timing.values()) == 1
+        assert max(timed.values()) == 1
         assert not set(assembled) & set(failed_timing)
-        assert set(assembled) | set(failed_timing) == set(looked_up)
+        assert not set(screened) & set(failed_timing)
+        assert set(assembled) | set(failed_timing) | set(screened) == set(looked_up)
+        # the screen fires: some orders are never assembled, and held ones
+        # are looked up again
+        assert set(screened) - set(assembled)
+        assert max(screened.values()) > 1
         # the search revisits orders, so the memo saves assemblies
         assert sum(looked_up.values()) > 2 * (len(assembled) + len(failed_timing))

@@ -43,6 +43,7 @@ from evroute import (
     validate,
 )
 from evroute import meta
+from evroute.core import objective_floor
 from evroute.errors import GenerationFailedError, NoInitialSolutionError, NoSolutionFoundError
 from evroute.meta import (
     ETA_EPS,
@@ -397,6 +398,37 @@ def test_assembly_with_handed_arrivals_equals_full_assembly(case):
             assert repr(got) == repr(assemble_schedule(moved, inst))
 
 
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_objective_floor_never_exceeds_the_assembled_objective(data):
+    # on the instance as generated, without the epsilon terms, without the
+    # end-charge weight, and with a charger at the start node, which the
+    # generator never places there
+    days = data.draw(st.integers(1, 3))
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    events = data.draw(st.integers(days, 10))
+    try:
+        inst = generate(GenConfig(seed=seed, event_count=events, max_days=days))
+    except GenerationFailedError:
+        reject()
+    option = ChargingOption(data.draw(st.floats(0.0, 30.0)), 1.0, data.draw(st.floats(1.0, inst.k_max)))
+    variants = [
+        inst,
+        replace(inst, epsilon=0.0),
+        replace(inst, weights=replace(inst.weights, wc=0.0)),
+        replace(inst, nodes=(replace(inst.nodes[0], charging=option), *inst.nodes[1:])),
+    ]
+    for _ in range(8):
+        order = data.draw(orders(inst, keep_anchor_order=True))
+        for v in variants:
+            timed = propagate_times(order, [0] * v.n, v)
+            if not timed.feasible_times:
+                continue
+            sched = assemble_schedule(order, v)
+            if sched is not None:
+                assert objective_floor(order, timed.arrival, v) <= sched.objective
+
+
 @settings(PROPERTY_SETTINGS, max_examples=20)
 @given(st.data())
 def test_tabu_search_equals_full_pricing(data):
@@ -501,5 +533,5 @@ def test_ant_construction_equals_the_full_scan(data):
         assert order == want
         # as aco hands it over: the memo times the step into the end node
         last = len(order) - 1
-        got = memo.assemble(order, arrival, last, last + 1)
+        got = memo.assemble(order, arrival, last, last + 1, math.inf)
         assert repr(got) == repr(assemble_schedule(order, inst))
