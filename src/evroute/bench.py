@@ -12,8 +12,8 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .core import Instance, Weights, objective_lower_bound
-from .errors import NoInitialSolutionError, NoSolutionFoundError
+from .core import Instance, Weights, objective_lower_bound, validate
+from .errors import EvrouteError, NoInitialSolutionError, NoSolutionFoundError
 from .exact import BnBConfig, SolveStatus, solve_exact
 from .gen import GenConfig, generate
 from .meta import (
@@ -184,8 +184,10 @@ def run_benchmark(cfg: BenchConfig) -> tuple[Path, Path]:
     exact solver finished optimally, otherwise against the best value any
     selected solver found; the affine shift used is documented per row in
     the ``shift`` column.  Wall time is measured around the solver call
-    only.  On generation or I/O failure a marker file ``INCOMPLETE`` is
-    left next to any partial results and the error is re-raised.
+    only; each schedule is then checked by :func:`~evroute.core.validate`,
+    and the first violation raises :class:`~evroute.errors.EvrouteError`.
+    On that, on generation or on I/O failure a marker file ``INCOMPLETE``
+    is left next to any partial results and the error is re-raised.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -197,10 +199,17 @@ def run_benchmark(cfg: BenchConfig) -> tuple[Path, Path]:
             for seed in cfg.seeds:
                 inst = generate(GenConfig(seed=seed, event_count=size))
                 shift = quality_shift(inst.weights)
-                results = {
-                    solver: run_solver(solver, inst, cfg.per_run_time_limit, seed)
-                    for solver in sorted(cfg.solvers)
-                }
+                results = {}
+                for solver in sorted(cfg.solvers):
+                    results[solver] = run_solver(solver, inst, cfg.per_run_time_limit, seed)
+                    sched = results[solver][0]
+                    violations = [] if sched is None else validate(sched, inst)
+                    if violations:
+                        v = violations[0]
+                        raise EvrouteError(
+                            f"the {solver} schedule for {size} events, seed {seed}, fails validation:"
+                            f" {v.constraint_id.value} at {v.location}: {v.detail}"
+                        )
                 exact_res = results.get("exact")
                 if exact_res is not None and exact_res[1] == SolveStatus.OPTIMAL.value:
                     reference = exact_res[0].objective

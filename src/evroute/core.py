@@ -409,14 +409,16 @@ def objective_floor(order: Sequence[int], arrival: Sequence[float], inst: Instan
     :func:`objective_value` adds them, and rounding is monotone, so the
     floor holds in floating point too.
     """
+    total_d, days = _route_sums(order, arrival, inst)
+    return _floor(total_d, days, _route_start(inst, inst.walk[0])[0], inst)
+
+
+def _floor(total_d: float, days: float, a0_min: float, inst: Instance) -> float:
+    """The objective with a full battery at the end and no stops, for the
+    distance ``total_d``, the day lengths ``days`` and the route start
+    ``a0_min``: :func:`objective_floor` and the exact search's bound."""
     w = inst.weights
-    total_d, sep_total = _route_sums(order, arrival, inst)
-    return (
-        w.wd * total_d
-        + w.wt * sep_total
-        - w.wc * inst.k_max
-        + inst.epsilon * _route_start(inst, inst.walk[0])[0]
-    )
+    return w.wd * total_d + w.wt * days - w.wc * inst.k_max + inst.epsilon * a0_min
 
 
 def evaluate_objective(s: Schedule, inst: Instance) -> float:

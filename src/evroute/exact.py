@@ -13,17 +13,12 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 
-from .core import (
-    Instance,
-    NodeKind,
-    Schedule,
-    _route_start,
-    objective_value,
-)
+from .core import Instance, NodeKind, Schedule, _floor, _route_start
 from .errors import InstanceTooLargeError, NoInitialSolutionError
 from .schedule import (
-    _range_pass,
+    _price,
     _time_step,
     anchored_sequence,
     assemble_schedule,
@@ -91,29 +86,16 @@ def _best_charging(order, inst, chargeable):
     Gains are always charged to the cap: extra charge costs no time in this
     model, so it can only help the end-of-route term.
     """
-    n = inst.n
     best = None
-    best_key = None
-    for mask in range(1 << len(chargeable)):
-        charge = [0] * n
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                charge[chargeable[i]] = 1
-            m >>= 1
-            i += 1
-        timed = propagate_times(order, charge, inst)
-        if not timed.feasible_times:
-            continue
-        gains, ranges, deficit = _range_pass(order, charge, inst)
-        if deficit is not None:
-            continue
-        obj = objective_value(order, timed.arrival, charge, ranges, inst)
-        key = tuple(charge)
-        if best is None or obj < best.objective or (obj == best.objective and key < best_key):
-            best = Schedule(tuple(order), timed.arrival, key, gains, ranges, obj)
-            best_key = key
+    for flags in product((0, 1), repeat=len(chargeable)):
+        charge = [0] * inst.n
+        for u, f in zip(chargeable, flags):
+            charge[u] = f
+        sched = _price(order, charge, inst)
+        if sched is not None and (
+            best is None or (sched.objective, sched.charge) < (best.objective, best.charge)
+        ):
+            best = sched
     return best
 
 
@@ -134,19 +116,14 @@ def oracle(inst: Instance) -> Schedule | None:
     chargeable = _chargeable(inst)
     zeros = [0] * n
     best: Schedule | None = None
-    best_key = None
     for order in _interleavings(anchored, flexible, n):
         if not propagate_times(order, zeros, inst).feasible_times:
             continue
         sched = _best_charging(order, inst, chargeable)
-        if sched is None:
-            continue
-        key = (order, sched.charge)
-        if best is None or sched.objective < best.objective or (
-            sched.objective == best.objective and key < best_key
-        ):
+        if sched is not None and (best is None or (
+            (sched.objective, sched.order, sched.charge) < (best.objective, best.order, best.charge)
+        )):
             best = sched
-            best_key = key
     return best
 
 
@@ -161,19 +138,18 @@ class _Search:
     schedule or None.
     Subtrees are cut on anchored-order violations, on earliest-time
     infeasibility of the partial order and on an optimistic objective bound
-    against the incumbent.
+    against the incumbent: the objective floor (:func:`~evroute.core._floor`)
+    of the exact distance so far plus a shortest exit from every node still
+    to leave, the day lengths seen so far and the earliest route start.
     """
 
     def __init__(self, inst: Instance, deadline: float | None, price):
         self.inst = inst
-        self.w = inst.weights
         self.deadline = deadline
         self.price = price
         dist = inst.dist_rows
         n = inst.n
         self.min_out = [min(dist[u][v] for v in range(n) if v != u) for u in range(n)]
-        # Smallest start time over both charging choices at the start node.
-        self.a0_floor = _route_start(inst, inst.walk[0])[0]
         self.best: Schedule | None = None
         self.best_obj = math.inf
         self.explored = 0
@@ -191,16 +167,6 @@ class _Search:
         if self.deadline is not None and self.explored % 256 == 0:
             if time.monotonic() > self.deadline:
                 raise _Timeout
-
-    def bound(self, dist_lb: float, sep_sum: float) -> float:
-        """Optimistic objective: exact distance plus a shortest-exit floor,
-        day delays seen so far, full battery at the end, zero extra stops."""
-        return (
-            self.w.wd * dist_lb
-            + self.w.wt * sep_sum
-            - self.w.wc * self.inst.k_max
-            + self.inst.epsilon * self.a0_floor
-        )
 
     def run(self, base, removed) -> bool:
         """Search every order that keeps ``base`` as a subsequence and places
@@ -220,6 +186,8 @@ class _Search:
         day_ref = inst.day_ref
         min_out = self.min_out
         a0 = _route_start(inst, 0.0)[0]
+        # the earliest start over both charging choices at the start node
+        a0_floor = _route_start(inst, inst.walk[0])[0]
         removed = sorted(removed)
         placed_removed = [False] * n
         path = [0]
@@ -248,7 +216,8 @@ class _Search:
                 if v in day_ref:
                     ref = day_ref[v]
                     sep_v = sep_sum + (a_v - (a0 if ref is None else ref))
-                if self.bound(dist_v + remaining_after, sep_v) >= self.best_obj - _BOUND_TOL:
+                floor = _floor(dist_v + remaining_after, sep_v, a0_floor, inst)
+                if floor >= self.best_obj - _BOUND_TOL:
                     continue
                 path.append(v)
                 anchors_v = anchors if r is None else anchors + 1
@@ -314,20 +283,17 @@ def solve_exact(
     return ExactResult(search.best, status, search.explored, tuple(search.incumbents))
 
 
-def solve_completion(
-    inst: Instance,
-    base_order,
-    removed,
-    time_limit: float | None = None,
-) -> Schedule | None:
+def solve_completion(inst: Instance, base_order, removed) -> Schedule | None:
     """Optimal re-insertion of ``removed`` nodes into ``base_order``.
 
     The surviving order is kept as a subsequence; removed nodes may go
     anywhere that respects the anchored total order.  Complete orders are
     priced by the greedy charging planner, exactly like the heuristic
-    repairs, so the result dominates any repair over the same removal set.
-    ``base_order`` and ``removed`` together must hold every node exactly
-    once.
+    repairs, and the search has no deadline: it always runs to the end, so
+    the result dominates any repair over the same removal set.  Its size is
+    bounded by the caller's removal count (ALNS's
+    ``exact_repair_max_removed``).  ``base_order`` and ``removed`` together
+    must hold every node exactly once.
     """
     base = list(base_order)
     removed = list(removed)
@@ -335,8 +301,7 @@ def solve_completion(
         raise ValueError("base order must run from the start node to the end node")
     if sorted(base + removed) != list(range(inst.n)):
         raise ValueError("base order and removed nodes overlap or miss a node")
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-    search = _Search(inst, deadline, assemble_schedule)
+    search = _Search(inst, None, assemble_schedule)
     search.run(base, removed)
     return search.best
 

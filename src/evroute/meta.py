@@ -25,6 +25,7 @@ from .core import (
     Instance,
     NodeKind,
     Schedule,
+    TIME_TOL,
     Weights,
     _route_start,
     objective_floor,
@@ -39,7 +40,6 @@ from .schedule import (
     assemble_schedule,
     bfd_initial,
     propagate_times,
-    respects_anchor_order,
 )
 
 ETA_EPS = 1e-6
@@ -137,10 +137,11 @@ class AcoParams:
             raise ValueError("at least one ant is required")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
-        if self.tau0 <= 0:
-            raise ValueError("tau0 must be positive")
+        # written so that NaN fails each check
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ValueError("alpha and beta must be finite and non-negative")
+        if not 0 < self.tau0 < math.inf:
+            raise ValueError("tau0 must be finite and positive")
 
 
 class SearchTrace:
@@ -371,14 +372,14 @@ def _removable(inst: Instance) -> list[int]:
 
 def _valid_positions(order: list[int], node: int, inst: Instance) -> list[int]:
     """Slots ``p`` in ``1..len(order) - 1`` at which inserting ``node``, which
-    ``order`` does not hold, before ``order[p]`` keeps the anchored order.
+    ``order`` does not hold, before ``order[p]`` keeps the anchored order,
+    given that ``order`` keeps it.
 
-    In an order that keeps it the anchored nodes sit in rank order, so the
-    slots form one run: after the last anchored node ranked below ``node``,
-    up to the first ranked above it.  An order that breaks it has none.
+    The anchored nodes then sit in rank order, so the slots form one
+    non-empty run: after the last anchored node ranked below ``node``, up to
+    the first ranked above it.  ALNS only asks for orders that keep it: each
+    base is a subsequence of its current order, and each insertion keeps it.
     """
-    if not respects_anchor_order(order, inst):
-        return []
     rank = inst.anchor_rank
     r = rank.get(node)
     lo, hi = 1, len(order) - 1
@@ -398,15 +399,9 @@ def _repair_random(memo, base, removed, rng):
     inst = memo.inst
     for _ in range(_RANDOM_REPAIR_ATTEMPTS):
         order = list(base)
-        ok = True
         for m in rng.permutation(removed):
             positions = _valid_positions(order, int(m), inst)
-            if not positions:
-                ok = False
-                break
             order.insert(positions[int(rng.integers(0, len(positions)))], int(m))
-        if not ok:
-            continue
         sched = memo.assemble(order, None, 0, len(order), math.inf)
         if sched is not None:
             return sched
@@ -608,9 +603,10 @@ def pheromone_update(
 
 def _by_top(inst: Instance) -> list[tuple[float, int]]:
     """The interior nodes as ``(top, id)`` pairs in ascending order, ``top``
-    being the latest arrival without a walk plus 1e-6, closed by ``(inf,
-    n - 1)``: the list :func:`_construct_route` reads window tops from."""
-    by_top = sorted((t.top + 1e-6, u) for u, t in enumerate(inst.timing[1:-1], 1))
+    being the latest arrival without a walk plus ``TIME_TOL``, closed by
+    ``(inf, n - 1)``: the list :func:`_construct_route` reads window tops
+    from."""
+    by_top = sorted((t.top + TIME_TOL, u) for u, t in enumerate(inst.timing[1:-1], 1))
     by_top.append((math.inf, inst.n - 1))
     return by_top
 

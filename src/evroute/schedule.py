@@ -326,13 +326,32 @@ def plan_charging(
     return tuple(charge), gains
 
 
+def _price(order: Sequence[int], charge: Sequence[int], inst: Instance) -> Schedule | None:
+    """The schedule of ``order`` under the charge flags ``charge``, or None
+    when its timetable or its battery breaks.
+
+    The order is timed in full, each flagged station charges to its cap
+    (see :func:`_range_pass`) and the result is priced under
+    ``inst.weights``.  This is the one place where charge flags become a
+    schedule: assembly and the exact search's leaves both end here.
+    """
+    timed = propagate_times(order, charge, inst)
+    if not timed.feasible_times:
+        return None
+    gains, ranges, deficit = _range_pass(order, charge, inst)
+    if deficit is not None:
+        return None
+    obj = objective_value(order, timed.arrival, charge, ranges, inst)
+    return Schedule(tuple(order), timed.arrival, tuple(charge), gains, ranges, obj)
+
+
 def assemble_schedule(
     order: Sequence[int],
     inst: Instance,
     *,
     arrival: Sequence[float] | None = None,
 ) -> Schedule | None:
-    """Plan charging, propagate times and ranges and price the result.
+    """Plan charging, then time, range and price the result (:func:`_price`).
 
     Returns None when the order admits no feasible schedule.  A returned
     schedule is priced under ``inst.weights`` and passes
@@ -348,13 +367,7 @@ def assemble_schedule(
     planned = plan_charging(order, inst, arrival=arrival)
     if planned is None:
         return None
-    charge, gains = planned
-    timed = propagate_times(order, charge, inst)
-    _, ranges, deficit = _range_pass(order, charge, inst, gains)
-    if not timed.feasible_times or deficit is not None:
-        return None
-    obj = objective_value(order, timed.arrival, charge, ranges, inst)
-    return Schedule(tuple(order), timed.arrival, tuple(charge), gains, ranges, obj)
+    return _price(order, planned[0], inst)
 
 
 def waiting_slack(s: Schedule, inst: Instance) -> float:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import evroute.bench
 import evroute.cli
 from evroute import bfd_initial, load
 from evroute.cli import main
@@ -141,6 +142,23 @@ def test_solve_rejects_a_schedule_that_fails_validation(instance_path, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "rangeChain at" in captured.err
+
+
+def test_bench_rejects_a_schedule_that_fails_validation(tmp_path, monkeypatch, capsys):
+    def broken_solver(solver, inst, limit, rng_seed):
+        sched = bfd_initial(inst)
+        ranges = list(sched.ranges)
+        ranges[1] += 1.0
+        return replace(sched, ranges=tuple(ranges)), "feasible", 1.0
+
+    monkeypatch.setattr(evroute.bench, "run_solver", broken_solver)
+    out = tmp_path / "bench"
+    rc = main(["bench", "--seeds", "1", "--sizes", "3", "--solvers", "ts", "--out", str(out)])
+    assert rc == 3
+    assert (out / "INCOMPLETE").exists()
+    assert not (out / "runs.csv").exists()
+    err = capsys.readouterr().err
+    assert "the ts schedule for 3 events, seed 0, fails validation: rangeChain at" in err
 
 
 def test_gen_rejects_a_bad_config_before_writing(tmp_path, capsys):

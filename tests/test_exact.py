@@ -136,6 +136,13 @@ class TestSolveExact:
         with pytest.raises(ValueError, match="time_limit"):
             BnBConfig(time_limit=limit)
 
+    def test_greedy_leaves_report_heuristic_leaf(self):
+        # a charger at every node: too many charge sets to enumerate per leaf
+        inst = generate(GenConfig(seed=2, event_count=12, max_days=2, station_probability=1.0))
+        res = solve_exact(inst)
+        assert res.status is SolveStatus.HEURISTIC_LEAF
+        assert validate(res.schedule, inst) == []
+
     def test_incumbent_seed_is_used(self, seed42):
         seed_sched = bfd_initial(seed42)
         res = solve_exact(seed42, BnBConfig(time_limit=10.0, incumbent_seed=seed_sched))

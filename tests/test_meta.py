@@ -23,6 +23,7 @@ from evroute import (
     hybrid_dispatch,
     oracle,
     pheromone_update,
+    respects_anchor_order,
     solve_completion,
     tabu_search,
     validate,
@@ -86,6 +87,17 @@ class TestTabuSearch:
         tabu_search(seed42, params=TsParams(iterations=60, aspiration=False), trace=trace)
         assert trace.events
         assert all(not ev["tabu"] for ev in trace.events if ev["kind"] == "move")
+
+    def test_aspiration_takes_a_tabu_move_only_to_beat_the_best(self):
+        inst = generate(GenConfig(seed=9, event_count=12, max_days=2))
+        trace = SearchTrace()
+        p = TsParams(iterations=60, aspiration=True, tabu_len_swap=6, tabu_len_insert=6)
+        tabu_search(inst, params=p, trace=trace)
+        # the best objective before each iteration
+        before = [bfd_initial(inst).objective] + [obj for _, obj in trace.best]
+        taken = [(ev["objective"], before[i]) for i, ev in enumerate(trace.events) if ev["tabu"]]
+        assert taken
+        assert all(obj < best for obj, best in taken)
 
     def test_best_objective_non_increasing(self, seed42):
         trace = SearchTrace()
@@ -186,6 +198,25 @@ class TestAlns:
         assert objs == sorted(objs, reverse=True)
         assert validate(got, seed42) == []
 
+    @pytest.mark.parametrize("scheme", ["static", "increasing", "random"])
+    def test_every_order_handed_to_the_memo_keeps_the_anchored_order(self, monkeypatch, scheme):
+        # the slot rule trusts that each base keeps the anchored order
+        inst = generate(GenConfig(seed=4, event_count=10, max_days=2))
+        handed = []
+        real_assemble = _RunMemo.assemble
+
+        def checking_assemble(memo, order, *timing):
+            handed.append(respects_anchor_order(order, inst))
+            return real_assemble(memo, order, *timing)
+
+        monkeypatch.setattr(_RunMemo, "assemble", checking_assemble)
+        trace = SearchTrace()
+        p = AlnsParams(iterations=60, dod_scheme=scheme, dod_static=0.3, exact_repair_max_removed=3)
+        alns(inst, params=p, rng_seed=3, trace=trace)
+        used = {ev["operator"] for ev in trace.events if ev["kind"] == "repair"}
+        assert used == {"random", "constructive", "exactMip"}
+        assert handed and all(handed)
+
     def test_deterministic(self, seed42):
         p = AlnsParams(iterations=40)
         a = alns(seed42, params=p, rng_seed=7)
@@ -260,6 +291,13 @@ class TestPheromoneUpdate:
 
 
 class TestAco:
+    @pytest.mark.parametrize("field", ["alpha", "beta", "tau0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        # either one would break the roulette: every ant takes its last candidate
+        with pytest.raises(ValueError, match=field):
+            AcoParams(**{field: value})
+
     def test_single_event_unique_order(self):
         inst = generate(GenConfig(seed=1, max_events=1, max_days=1))
         got = aco(inst, params=AcoParams(iterations=5, ants=4), rng_seed=0)

@@ -216,8 +216,9 @@ def test_tabu_screen_admits_exactly_the_anchor_respecting_moves(data):
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_valid_positions_match_brute_force(data):
+    # ALNS asks only for orders that keep the anchored order
     inst = data.draw(instances(max_nodes=12))
-    order = data.draw(orders(inst, keep_anchor_order=data.draw(st.booleans())))
+    order = data.draw(orders(inst, keep_anchor_order=True))
     node = order.pop(data.draw(st.integers(1, len(order) - 2)))
     # the reference: every slot whose insertion keeps the anchored order
     expected = [
