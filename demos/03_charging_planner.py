@@ -16,7 +16,6 @@ from evroute import (
     Weights,
     assemble_schedule,
     plan_charging,
-    propagate_ranges,
     validate,
 )
 
@@ -46,7 +45,11 @@ inst = Instance(
 )
 order = (0, 1, 2, 3)
 
-ranges, deficit = propagate_ranges(order, [0] * 4, [0.0] * 4, inst)
+# Without stops every edge just consumes its distance.
+ranges = [inst.k_start]
+for u, v in zip(order, order[1:]):
+    ranges.append(ranges[-1] - float(dist[u, v]))
+deficit = next(u for u, r in zip(order, ranges) if r < inst.k_min)
 print(f"uncharged ranges {ranges} -> first deficit at node {deficit}")
 
 # The planner ranks achievable gain against walking time: 30/(2*2+0.1)

@@ -78,9 +78,7 @@ from .schedule import (
     anchored_sequence,
     assemble_schedule,
     bfd_initial,
-    charge_gains,
     plan_charging,
-    propagate_ranges,
     propagate_times,
     respects_anchor_order,
     waiting_slack,

@@ -191,15 +191,15 @@ class Instance:
             mat = np.asarray(getattr(self, mat_name), dtype=float)
             if mat.shape != (n, n):
                 raise ValueError(f"{mat_name} must be {n}x{n}")
-            if (mat < 0).any():
-                raise ValueError(f"{mat_name} entries must be non-negative")
+            if (mat < 0).any() or np.isinf(mat).any():
+                raise ValueError(f"{mat_name} entries must be finite and non-negative")
             if np.diagonal(mat).any():
                 raise ValueError(f"{mat_name} diagonal must be zero")
             mat = mat.copy()
             mat.setflags(write=False)
             object.__setattr__(self, mat_name, mat)
-        if not (0 <= self.k_min <= self.k_start <= self.k_max):
-            raise ValueError("battery bounds must satisfy 0 <= k_min <= k_start <= k_max")
+        if not (0 <= self.k_min <= self.k_start <= self.k_max < math.inf):
+            raise ValueError("battery bounds must satisfy 0 <= k_min <= k_start <= k_max < inf")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError("epsilon must be finite and non-negative")
         if any(b <= a for a, b in zip(self.separators, self.separators[1:])):
@@ -330,7 +330,6 @@ class Violation:
 class TimedOrder:
     """Earliest arrival times for a (possibly partial) visit order."""
 
-    order: tuple[int, ...]
     arrival: tuple[float, ...]
     feasible_times: bool
 

@@ -41,7 +41,6 @@ class SolveStatus(enum.Enum):
 @dataclass(frozen=True)
 class BnBConfig:
     time_limit: float = 15.0
-    incumbent_seed: Schedule | None = None
 
     def __post_init__(self):
         if not self.time_limit > 0:  # NaN included
@@ -263,13 +262,10 @@ def solve_exact(
     leaf_enum = len(chargeable) <= LEAF_ENUM_MAX_CHARGEABLE
     price = partial(_best_charging, chargeable=chargeable) if leaf_enum else assemble_schedule
     search = _Search(inst, deadline, price)
-    seed = cfg.incumbent_seed
-    if seed is None:
-        try:
-            seed = bfd_initial(inst)
-        except NoInitialSolutionError:
-            pass
-    search.offer(seed)
+    try:
+        search.offer(bfd_initial(inst))
+    except NoInitialSolutionError:
+        pass
 
     exhausted = search.run([0, inst.n - 1], range(1, inst.n - 1))
     if not exhausted:

@@ -135,8 +135,8 @@ class AcoParams:
             raise ValueError("rho must lie in [0, 1]")
         if self.ants < 1:
             raise ValueError("at least one ant is required")
-        if self.iterations < 0:
-            raise ValueError("iterations must be non-negative")
+        if self.iterations < 1:  # unlike TS and ALNS, ACO has no start solution to return
+            raise ValueError("iterations must be at least 1")
         # written so that NaN fails each check
         if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
             raise ValueError("alpha and beta must be finite and non-negative")

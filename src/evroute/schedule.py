@@ -104,40 +104,34 @@ def propagate_times(order: Sequence[int], charge: Sequence[int], inst: Instance)
     w_prev = walk[0] if charge[0] else 0.0
     a0, started = _route_start(inst, w_prev)
     if not started:
-        return TimedOrder(tuple(order), tuple(arrival), False)
+        return TimedOrder(tuple(arrival), False)
     arrival[0] = a_prev = a0
     prev = 0
     for u in order[1:]:
         w_u = walk[u] if charge[u] else 0.0
         a_u = _time_step(inst, prev, a_prev, w_prev, u, w_u, a0)
         if a_u is None:
-            return TimedOrder(tuple(order), tuple(arrival), False)
+            return TimedOrder(tuple(arrival), False)
         arrival[u] = a_u
         prev, a_prev, w_prev = u, a_u, w_u
-    return TimedOrder(tuple(order), tuple(arrival), True)
+    return TimedOrder(tuple(arrival), True)
 
 
 def _range_pass(
-    order: Sequence[int],
-    charge: Sequence[int],
-    inst: Instance,
-    gains: Sequence[float] | None = None,
+    order: Sequence[int], charge: Sequence[int], inst: Instance
 ) -> tuple[tuple[float, ...], tuple[float, ...], int | None]:
     """One walk of the range chain: gains, arrival ranges and first deficit.
 
-    Charge is applied before departure and capped at the battery maximum;
-    each edge then consumes its distance.  Without ``gains``, each flagged
-    station charges to the smaller of its total gain and the headroom on
-    arrival; with them, they are applied as given.
+    Each flagged node with a charger (the end node has none) charges to the
+    smaller of its total gain and the headroom on arrival; the charge is
+    applied before departure and capped at the battery maximum, and each
+    edge then consumes its distance.
     """
     nodes = inst.nodes
     dist = inst.dist_rows
     k_max = inst.k_max
     floor = inst.k_min - RANGE_TOL
-    end = inst.n - 1
-    capped = gains is None
-    if capped:
-        gains = [0.0] * inst.n
+    gains = [0.0] * inst.n
     k = [math.nan] * inst.n
     deficit = prev = None
     cur = inst.k_start
@@ -148,32 +142,11 @@ def _range_pass(
         k[u] = cur
         if deficit is None and cur < floor:
             deficit = u
-        if capped and charge[u] and u != end:
+        if charge[u]:
             option = nodes[u].charging
             if option is not None:
                 gains[u] = max(0.0, min(option.max_gain, k_max - cur))
     return tuple(gains), tuple(k), deficit
-
-
-def charge_gains(order: Sequence[int], charge: Sequence[int], inst: Instance) -> tuple[float, ...]:
-    """Full capped gains for the flagged nodes: charge to the smaller of the
-    station's total gain and the battery headroom on arrival."""
-    return _range_pass(order, charge, inst)[0]
-
-
-def propagate_ranges(
-    order: Sequence[int],
-    charge: Sequence[int],
-    gains: Sequence[float],
-    inst: Instance,
-) -> tuple[tuple[float, ...], int | None]:
-    """Battery range on arrival per node plus the first deficit node, if any.
-
-    Charge is applied before departure and capped at the battery maximum;
-    each edge then consumes its distance.
-    """
-    _, ranges, deficit = _range_pass(order, charge, inst, gains)
-    return ranges, deficit
 
 
 def _retime(
@@ -248,8 +221,7 @@ def plan_charging(
     :func:`_retime`); the results equal full re-propagation bit for bit.
     """
     nodes = inst.nodes
-    n = inst.n
-    charge = [0] * n
+    charge = [0] * inst.n
     if arrival is None:
         timed = propagate_times(order, charge, inst)
         if not timed.feasible_times:
@@ -265,7 +237,7 @@ def plan_charging(
         cands = []
         for u in order[:limit_pos]:
             node = nodes[u]
-            if charge[u] or node.charging is None or u == n - 1:
+            if charge[u] or node.charging is None:
                 continue
             head = min(node.charging.max_gain, inst.k_max - ranges[u])
             if head <= RANGE_TOL:

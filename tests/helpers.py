@@ -151,7 +151,7 @@ def grid_min_arrivals(inst: Instance, order, charge, targets):
 
 def brute_min_stop_count(inst: Instance, order):
     """Minimum stop count over all charge subsets that stay feasible."""
-    from evroute import charge_gains, propagate_ranges, propagate_times
+    from evroute import propagate_times
 
     chargeable = [u for u in range(inst.n - 1) if inst.nodes[u].charging is not None]
     best = None
@@ -165,8 +165,7 @@ def brute_min_stop_count(inst: Instance, order):
             i += 1
         if not propagate_times(order, charge, inst).feasible_times:
             continue
-        gains = charge_gains(order, charge, inst)
-        if propagate_ranges(order, charge, gains, inst)[1] is not None:
+        if _reference_ranges(order, _reference_gains(order, charge, inst), inst)[1] is not None:
             continue
         count = sum(charge[:-1])
         if best is None or count < best:

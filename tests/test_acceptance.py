@@ -38,7 +38,7 @@ from evroute import (
 from evroute.cli import main
 from evroute.exact import ORACLE_MAX_NODES
 
-from helpers import brute_min_stop_count, grid_min_arrivals, lp_min_arrival
+from helpers import _reference_ranges, brute_min_stop_count, grid_min_arrivals, lp_min_arrival
 
 
 def _report(num, label, ok, detail=""):
@@ -306,7 +306,7 @@ def test_criterion_8_determinism(tmp_path):
 def test_criterion_9_timing_and_gain_optimality():
     import itertools
 
-    from evroute import objective_value, propagate_ranges
+    from evroute import objective_value
 
     counter_time = counter_gain = 0
     for seed in range(1, 11):
@@ -326,7 +326,7 @@ def test_criterion_9_timing_and_gain_optimality():
             gains = [0.0] * inst.n
             for u, frac in zip(charged, combo):
                 gains[u] = frac * inst.nodes[u].charging.max_gain
-            ranges, deficit = propagate_ranges(best.order, best.charge, gains, inst)
+            ranges, deficit = _reference_ranges(best.order, gains, inst)
             if deficit is not None:
                 continue
             obj = objective_value(best.order, best.arrival, best.charge, ranges, inst)

@@ -20,7 +20,6 @@ from evroute import (
     normalize_weights,
     objective_lower_bound,
     oracle,
-    propagate_ranges,
     separator_ref,
     validate,
 )
@@ -32,7 +31,7 @@ from conftest import (
     two_node_instance,
     wide_node,
 )
-from helpers import day_delay_sum, route_distance
+from helpers import _reference_ranges, day_delay_sum, route_distance
 
 
 def make_schedule(inst, order, arrival=None, charge=None, gain=None, ranges=None, objective=0.0):
@@ -205,6 +204,22 @@ class TestFiniteInput:
         with pytest.raises(ValueError, match="epsilon"):
             replace(seed42, epsilon=x)
 
+    @pytest.mark.parametrize("bounds", [
+        {"k_max": math.inf},
+        {"k_max": math.inf, "k_start": math.inf},
+        {"k_max": math.inf, "k_start": math.inf, "k_min": math.inf},
+    ])
+    def test_instance_rejects_infinite_battery_bounds(self, seed42, bounds):
+        with pytest.raises(ValueError, match="battery bounds"):
+            replace(seed42, **bounds)
+
+    @pytest.mark.parametrize("matrix", ["dist", "travel"])
+    def test_instance_rejects_infinite_matrix_entries(self, seed42, matrix):
+        mat = getattr(seed42, matrix).copy()
+        mat[0, 1] = math.inf
+        with pytest.raises(ValueError, match=f"{matrix} entries"):
+            replace(seed42, **{matrix: mat})
+
 
 class TestNormalizeWeights:
     def test_single_preference_formula(self):
@@ -322,12 +337,12 @@ class TestProperties:
         charged = [u for u in s.order[:-1] if s.charge[u]]
         if not charged:
             pytest.skip("no charging stop in the optimal schedule")
-        base_ranges, _ = propagate_ranges(s.order, s.charge, s.gain, seed42)
+        base_ranges, _ = _reference_ranges(s.order, s.gain, seed42)
         u = charged[0]
         gains = list(s.gain)
         headroom = seed42.k_max - (base_ranges[u] + gains[u])
         gains[u] += min(1.0, max(headroom, 0.0))
-        bumped, _ = propagate_ranges(s.order, s.charge, gains, seed42)
+        bumped, _ = _reference_ranges(s.order, gains, seed42)
         pos = s.order.index(u)
         for later in s.order[pos + 1 :]:
             assert bumped[later] >= base_ranges[later] - 1e-9

@@ -1,5 +1,4 @@
 import math
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -142,12 +141,6 @@ class TestSolveExact:
         res = solve_exact(inst)
         assert res.status is SolveStatus.HEURISTIC_LEAF
         assert validate(res.schedule, inst) == []
-
-    def test_incumbent_seed_is_used(self, seed42):
-        seed_sched = bfd_initial(seed42)
-        res = solve_exact(seed42, BnBConfig(time_limit=10.0, incumbent_seed=seed_sched))
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.objective == pytest.approx(SEED42_ORACLE_OBJECTIVE, abs=1e-9)
 
 
 class TestSolveCompletion:

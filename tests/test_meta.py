@@ -66,6 +66,12 @@ def test_negative_iterations_rejected(params):
         params(iterations=-1)
 
 
+def test_aco_needs_an_iteration():
+    # TS and ALNS return their BFD start after no iteration; ACO has none
+    with pytest.raises(ValueError, match="iteration"):
+        AcoParams(iterations=0)
+
+
 class TestTabuSearch:
     def test_zero_iterations_returns_bfd(self, seed42):
         start = bfd_initial(seed42)

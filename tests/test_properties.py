@@ -54,10 +54,12 @@ from evroute.meta import (
     _moves,
     _valid_positions,
 )
-from evroute.schedule import _retime, _time_step
+from evroute.schedule import _range_pass, _retime, _time_step
 
 from helpers import (
     RecomputingMemo,
+    _reference_gains,
+    _reference_ranges,
     reference_assemble,
     reference_construct_route,
     reference_time_step,
@@ -331,6 +333,18 @@ def test_assembly_equals_the_reference_planner(data):
     for order in candidates:
         # repr compares every float bit for bit
         assert repr(assemble_schedule(order, inst)) == repr(reference_assemble(order, inst))
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_range_pass_equals_the_reference_chain(data):
+    inst = data.draw(st.one_of(instances(max_nodes=12), multiday_instances()))
+    order = data.draw(orders(inst, keep_anchor_order=True))
+    # flags on nodes without a charger and on the end node must be ignored
+    charge = data.draw(st.lists(st.sampled_from((0, 1)), min_size=inst.n, max_size=inst.n))
+    gains = _reference_gains(order, charge, inst)
+    # repr compares every float bit for bit
+    assert repr(_range_pass(order, charge, inst)) == repr((gains, *_reference_ranges(order, gains, inst)))
 
 
 @st.composite

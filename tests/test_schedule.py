@@ -13,11 +13,9 @@ from evroute import (
     anchored_sequence,
     assemble_schedule,
     bfd_initial,
-    charge_gains,
     generate,
     oracle,
     plan_charging,
-    propagate_ranges,
     propagate_times,
     respects_anchor_order,
     validate,
@@ -26,7 +24,9 @@ from evroute import (
 from evroute.errors import NoInitialSolutionError
 
 from conftest import line_instance, option, two_node_instance, wide_node
-from helpers import brute_min_stop_count, grid_min_arrivals, lp_min_arrival
+from evroute.schedule import _range_pass
+
+from helpers import _reference_ranges, brute_min_stop_count, grid_min_arrivals, lp_min_arrival
 
 
 class TestPropagateTimes:
@@ -78,7 +78,7 @@ class TestPropagateRanges:
     def test_subtraction_chain(self):
         inst = line_instance(1, dist=np.array([[0.0, 30.0, 99.0], [30.0, 0.0, 30.0], [99.0, 30.0, 0.0]]),
                              k_start=100.0, k_max=100.0)
-        ranges, deficit = propagate_ranges((0, 1, 2), [0, 0, 0], [0.0] * 3, inst)
+        _, ranges, deficit = _range_pass((0, 1, 2), [0, 0, 0], inst)
         assert ranges == (100.0, 70.0, 40.0)
         assert deficit is None
 
@@ -90,7 +90,8 @@ class TestPropagateRanges:
             k_max=1000.0,
             charging={1: option(max_gain=50.0)},
         )
-        ranges, _ = propagate_ranges((0, 1, 2), [0, 1, 0], [0.0, 50.0, 0.0], inst)
+        gains, ranges, _ = _range_pass((0, 1, 2), [0, 1, 0], inst)
+        assert gains == (0.0, 50.0, 0.0)
         assert ranges == (100.0, 70.0, 90.0)
 
     def test_capacity_caps_gain_at_charge_time(self):
@@ -102,16 +103,15 @@ class TestPropagateRanges:
             charging={1: option(max_gain=30.0)},
         )
         # arrival range at the middle node is 90; requested 30, headroom 10
-        gains = charge_gains((0, 1, 2), [0, 1, 0], inst)
+        gains, ranges, deficit = _range_pass((0, 1, 2), [0, 1, 0], inst)
         assert gains[1] == pytest.approx(10.0)
-        ranges, deficit = propagate_ranges((0, 1, 2), [0, 1, 0], gains, inst)
         assert ranges[2] == pytest.approx(80.0)
         assert deficit is None
 
     def test_first_deficit_node_reported(self):
         inst = line_instance(1, dist=np.full((3, 3), 60.0) - np.diag([60.0] * 3),
                              k_start=100.0, k_max=100.0, k_min=10.0)
-        _, deficit = propagate_ranges((0, 1, 2), [0] * 3, [0.0] * 3, inst)
+        _, _, deficit = _range_pass((0, 1, 2), [0] * 3, inst)
         assert deficit == 2
 
 
@@ -302,7 +302,7 @@ class TestOptimalityProperties:
                 for u, frac in zip(charged, combo):
                     gains[u] = frac * inst.nodes[u].charging.max_gain
                 # propagate with capping; skip any infeasible gain vector
-                ranges, deficit = propagate_ranges(best.order, best.charge, gains, inst)
+                ranges, deficit = _reference_ranges(best.order, gains, inst)
                 if deficit is not None:
                     continue
                 obj = objective_value(best.order, best.arrival, best.charge, ranges, inst)
