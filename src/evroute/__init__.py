@@ -24,7 +24,6 @@ from .core import (
     NodeKind,
     Schedule,
     StationMeta,
-    TimedOrder,
     Violation,
     Weights,
     evaluate_objective,

@@ -150,6 +150,8 @@ class Weights:
     bounds: tuple[tuple[float, float], ...] = ((0.0, 1.0), (0.0, 1.0), (-1.0, 0.0))
 
     def __post_init__(self):
+        if len(self.prefs) != 3 or len(self.bounds) != 3 or any(len(b) != 2 for b in self.bounds):
+            raise ValueError("prefs and bounds must hold a value and a (lower, upper) pair per objective summand")
         values = (self.wd, self.wt, self.wc, *self.prefs, *(x for b in self.bounds for x in b))
         if not all(math.isfinite(x) for x in values):
             raise ValueError("weights, prefs and bounds must be finite")
@@ -157,8 +159,6 @@ class Weights:
             raise ValueError("weights must be non-negative")
         if min(self.prefs) < 0 or abs(sum(self.prefs) - 1.0) > 1e-9:
             raise ValueError("prefs must be non-negative and sum to 1")
-        if len(self.bounds) != 3:
-            raise ValueError("bounds must cover the three objective summands")
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,14 +324,6 @@ class Violation:
     location: str
     detail: str
     magnitude: float
-
-
-@dataclass(frozen=True)
-class TimedOrder:
-    """Earliest arrival times for a (possibly partial) visit order."""
-
-    arrival: tuple[float, ...]
-    feasible_times: bool
 
 
 def separator_ref(u: int, s: Schedule, inst: Instance) -> float:

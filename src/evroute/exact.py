@@ -116,7 +116,7 @@ def oracle(inst: Instance) -> Schedule | None:
     zeros = [0] * n
     best: Schedule | None = None
     for order in _interleavings(anchored, flexible, n):
-        if not propagate_times(order, zeros, inst).feasible_times:
+        if propagate_times(order, zeros, inst) is None:
             continue
         sched = _best_charging(order, inst, chargeable)
         if sched is not None and (best is None or (

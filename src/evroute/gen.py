@@ -397,23 +397,43 @@ def _node_from_json(obj: dict) -> EventNode:
         station = None
         if c.get("station") is not None:
             s = c["station"]
-            station = StationMeta(float(s["power_kw"]), float(s["walk_meters"]), int(s["plug_count"]))
+            station = StationMeta(_number(s["power_kw"]), _number(s["walk_meters"]), _integer(s["plug_count"]))
         charging = ChargingOption(
-            walk_time=float(c["walk_time"]),
-            rate=float(c["rate"]),
-            max_gain=float(c["max_gain"]),
+            walk_time=_number(c["walk_time"]),
+            rate=_number(c["rate"]),
+            max_gain=_number(c["max_gain"]),
             station=station,
         )
     fixed = obj.get("fixed_arrival")
     return EventNode(
-        id=int(obj["id"]),
+        id=_integer(obj["id"]),
         kind=NodeKind(obj["kind"]),
-        a_min=float(obj["a_min"]),
-        a_max=float(obj["a_max"]),
-        duration=float(obj["duration"]),
-        fixed_arrival=None if fixed is None else float(fixed),
+        a_min=_number(obj["a_min"]),
+        a_max=_number(obj["a_max"]),
+        duration=_number(obj["duration"]),
+        fixed_arrival=None if fixed is None else _number(fixed),
         charging=charging,
     )
+
+
+def _number(x) -> float:
+    """A JSON number as a float; a string or a boolean is never converted."""
+    if type(x) is not float and type(x) is not int:
+        raise TypeError(f"expected a JSON number, got {x!r}")
+    return float(x)
+
+
+def _integer(x) -> int:
+    """A JSON integer; a fraction, a string or a boolean is never converted."""
+    if type(x) is not int:
+        raise TypeError(f"expected a JSON integer, got {x!r}")
+    return x
+
+
+def _matrix(rows) -> np.ndarray:
+    if not {type(x) for row in rows for x in row} <= {float, int}:
+        raise TypeError("expected a matrix of JSON numbers")
+    return np.asarray(rows, dtype=float)
 
 
 def _reject_constant(token: str):
@@ -432,7 +452,8 @@ def load(path) -> Instance:
 
     Malformed JSON raises :class:`InstanceFormatError` with the failing
     offset; an unknown version raises :class:`UnsupportedVersionError`;
-    schema or invariant problems, ``NaN``/``Infinity`` tokens and number
+    schema or invariant problems (a string or a boolean for a number, a
+    fraction for an integer included), ``NaN``/``Infinity`` tokens and number
     literals too large for a float raise :class:`InstanceFormatError`.
     """
     text = Path(path).read_text(encoding="utf-8")
@@ -445,29 +466,27 @@ def load(path) -> Instance:
     if not isinstance(doc, dict):
         raise InstanceFormatError("top-level value must be an object")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise UnsupportedVersionError(f"unsupported instance format version {version!r}")
     try:
         w = doc["weights"]
         weights = Weights(
-            float(w["wd"]),
-            float(w["wt"]),
-            float(w["wc"]),
-            prefs=tuple(float(p) for p in w["prefs"]),
-            bounds=tuple(tuple(float(x) for x in b) for b in w["bounds"]),
+            _number(w["wd"]),
+            _number(w["wt"]),
+            _number(w["wc"]),
+            prefs=tuple(_number(p) for p in w["prefs"]),
+            bounds=tuple(tuple(_number(x) for x in b) for b in w["bounds"]),
         )
         return Instance(
             nodes=tuple(_node_from_json(nd) for nd in doc["nodes"]),
-            dist=np.asarray(doc["dist"], dtype=float),
-            travel=np.asarray(doc["travel"], dtype=float),
-            k_min=float(doc["k_min"]),
-            k_max=float(doc["k_max"]),
-            k_start=float(doc["k_start"]),
-            separators=tuple(int(s) for s in doc["separators"]),
+            dist=_matrix(doc["dist"]),
+            travel=_matrix(doc["travel"]),
+            k_min=_number(doc["k_min"]),
+            k_max=_number(doc["k_max"]),
+            k_start=_number(doc["k_start"]),
+            separators=tuple(_integer(s) for s in doc["separators"]),
             weights=weights,
-            epsilon=float(doc["epsilon"]),
+            epsilon=_number(doc["epsilon"]),
         )
-    except UnsupportedVersionError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise InstanceFormatError(f"invalid instance content: {e}") from e

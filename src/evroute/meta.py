@@ -334,7 +334,7 @@ def tabu_search(
         # the current order's arrivals
         arrival = arrivals.get(current.order)
         if arrival is None:
-            arrival = arrivals[current.order] = propagate_times(current.order, zeros, inst).arrival
+            arrival = arrivals[current.order] = propagate_times(current.order, zeros, inst)
         # current.order keeps the anchored order: BFD built it, or it passed
         # this screen
         for move, lo, hi in _admissible_moves(current.order, inst.anchor_rank, moves):
@@ -418,8 +418,7 @@ def _repair_constructive(memo, base, removed):
     order = list(base)
     # arrivals of the order built so far without stops; each trial
     # insertion is re-timed from its slot on (None times it in full)
-    timed = propagate_times(order, zeros, inst)
-    arrival = timed.arrival if timed.feasible_times else None
+    arrival = propagate_times(order, zeros, inst)
     remaining = sorted(removed)
     while remaining:
         cands = []
@@ -621,7 +620,8 @@ def _construct_route(inst, anchored, by_top, tau, eta, p, rng):
     candidates are the unvisited flexible events, in id order, and the
     pending anchored node at its id position.  ``by_top`` comes from
     :func:`_by_top`.  The arrivals come back per node, the end node's left
-    NaN: the route start, then one time step per visit.
+    NaN: the route start, then one time step per visit; they are None when
+    the start node's window breaks at the route start.
     """
     n = inst.n
     timing = inst.timing
@@ -631,7 +631,8 @@ def _construct_route(inst, anchored, by_top, tau, eta, p, rng):
     order = [0]
     arrival = [math.nan] * n
     current = 0
-    a0 = a_cur = arrival[0] = _route_start(inst, 0.0)[0]
+    a0, started = _route_start(inst, 0.0)
+    a_cur = arrival[0] = a0
     next_anchor = 0
     pending = anchored[0] if anchored else None
     first = second = 0  # by_top positions of the two tightest unvisited tops
@@ -690,7 +691,7 @@ def _construct_route(inst, anchored, by_top, tau, eta, p, rng):
             free.remove(chosen)
         current = chosen
     order.append(n - 1)
-    return order, arrival
+    return order, arrival if started else None
 
 
 def aco(
@@ -723,9 +724,8 @@ def aco(
     memo = _RunMemo(inst)
     by_top = _by_top(inst)
     # a route comes timed up to its last visit; the memo times the step into
-    # the end node, or the whole route when the start window breaks, and
-    # remembers a route that fails as None
-    started = _route_start(inst, 0.0)[1]
+    # the end node, or the whole route when it comes untimed, and remembers
+    # a route that fails as None
     best: Schedule | None = None
     for it in range(p.iterations):
         tau_rows = tau.tolist()
@@ -736,7 +736,7 @@ def aco(
                 continue
             order, arrival = route
             last = len(order) - 1
-            sched = memo.assemble(order, arrival, last if started else 0, last + 1, math.inf)
+            sched = memo.assemble(order, arrival, last, last + 1, math.inf)
             if sched is not None:
                 solutions.append(sched)
         for s in solutions:

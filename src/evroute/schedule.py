@@ -18,7 +18,6 @@ from .core import (
     RANGE_TOL,
     Schedule,
     TIME_TOL,
-    TimedOrder,
     _route_start,
     objective_value,
 )
@@ -84,37 +83,23 @@ def _time_step(
     return a_v
 
 
-def propagate_times(order: Sequence[int], charge: Sequence[int], inst: Instance) -> TimedOrder:
-    """Earliest feasible arrival times along ``order`` for given charge flags.
+def propagate_times(
+    order: Sequence[int], charge: Sequence[int], inst: Instance
+) -> tuple[float, ...] | None:
+    """Earliest feasible arrival times along ``order`` for given charge
+    flags, per node, or None when the timetable breaks.
 
     Fixed nodes are pinned to their constant arrival shifted by the walk to
     the charger; other nodes are clamped into their windows, separators
     against the previous day's reference.  The route starts as
-    :func:`_route_start` says.  Returns ``feasible_times=False`` when any
-    clamp fails, with the arrivals from the failing node on left NaN.
-    ``order`` may be a partial order (missing interior nodes) as long as it
-    runs from the start node to the end node.
+    :func:`_route_start` says.  Nodes off ``order`` are left NaN: it may be
+    a partial order (missing interior nodes) as long as it runs from the
+    start node to the end node.  The walk is :func:`_retime`'s.
     """
-    nodes = inst.nodes
-    n = len(nodes)
-    if not order or order[0] != 0 or order[-1] != n - 1:
+    if not order or order[0] != 0 or order[-1] != inst.n - 1:
         raise ValueError("order must run from the start node to the end node")
-    walk = inst.walk
-    arrival = [math.nan] * n
-    w_prev = walk[0] if charge[0] else 0.0
-    a0, started = _route_start(inst, w_prev)
-    if not started:
-        return TimedOrder(tuple(arrival), False)
-    arrival[0] = a_prev = a0
-    prev = 0
-    for u in order[1:]:
-        w_u = walk[u] if charge[u] else 0.0
-        a_u = _time_step(inst, prev, a_prev, w_prev, u, w_u, a0)
-        if a_u is None:
-            return TimedOrder(tuple(arrival), False)
-        arrival[u] = a_u
-        prev, a_prev, w_prev = u, a_u, w_u
-    return TimedOrder(tuple(arrival), True)
+    arrival = _retime(order, charge, None, 0, len(order), inst)
+    return None if arrival is None else tuple(arrival)
 
 
 def _range_pass(
@@ -157,8 +142,8 @@ def _retime(
     hi: int,
     inst: Instance,
 ) -> Sequence[float] | None:
-    """Arrivals along ``order`` under ``charge`` re-timed from position
-    ``lo``, or None when the timetable breaks.
+    """Arrivals along ``order`` under ``charge`` from position ``lo`` on, or
+    None when the timetable breaks: the one walk of the time chain.
 
     ``arrival`` holds the feasible per-node arrivals of a reference: an
     order under its own charge flags that agrees with this one, node and
@@ -169,18 +154,23 @@ def _retime(
     the re-timing starts there; from ``hi`` on it stops at the first
     arrival equal to its old one, since every later step then has the same
     inputs as before, and inside the span no arrival can be trusted.  The
-    result equals :func:`propagate_times` bit for bit.  ``lo == 0`` moves
-    the route start and re-times the whole order, as does ``arrival`` None
-    (no feasible reference).
+    result equals a full timing bit for bit.  ``lo == 0`` moves the route
+    start and times the whole order from it, as does ``arrival`` None (no
+    feasible reference); nodes off the order are then left NaN.
     """
-    if lo == 0 or arrival is None:
-        timed = propagate_times(order, charge, inst)
-        return timed.arrival if timed.feasible_times else None
     walk = inst.walk
-    new = list(arrival)
-    a0 = arrival[order[0]]
+    if lo == 0 or arrival is None:
+        a0, started = _route_start(inst, walk[0] if charge[0] else 0.0)
+        if not started:
+            return None
+        new = [math.nan] * inst.n
+        new[0] = a0
+        lo, hi = 1, len(order)
+    else:
+        new = list(arrival)
+        a0 = arrival[order[0]]
     prev = order[lo - 1]
-    a_prev = arrival[prev]
+    a_prev = new[prev]
     w_prev = walk[prev] if charge[prev] else 0.0
     for q in range(lo, len(order)):
         v = order[q]
@@ -223,10 +213,9 @@ def plan_charging(
     nodes = inst.nodes
     charge = [0] * inst.n
     if arrival is None:
-        timed = propagate_times(order, charge, inst)
-        if not timed.feasible_times:
+        arrival = propagate_times(order, charge, inst)
+        if arrival is None:
             return None
-        arrival = timed.arrival
     pos_of = {u: i for i, u in enumerate(order)}
     added: list[int] = []
 
@@ -279,7 +268,7 @@ def plan_charging(
         # the next round's base; only the best addable rank is tried per
         # round, re-timed from the held arrivals.
         if dropped:
-            arrival = propagate_times(order, charge, inst).arrival
+            arrival = propagate_times(order, charge, inst)
         obj = objective_value(order, arrival, charge, ranges, inst)
         total = sum(gains)
         while (stop := first_timed_stop(ranges, len(order))) is not None:
@@ -307,14 +296,14 @@ def _price(order: Sequence[int], charge: Sequence[int], inst: Instance) -> Sched
     ``inst.weights``.  This is the one place where charge flags become a
     schedule: assembly and the exact search's leaves both end here.
     """
-    timed = propagate_times(order, charge, inst)
-    if not timed.feasible_times:
+    arrival = propagate_times(order, charge, inst)
+    if arrival is None:
         return None
     gains, ranges, deficit = _range_pass(order, charge, inst)
     if deficit is not None:
         return None
-    obj = objective_value(order, timed.arrival, charge, ranges, inst)
-    return Schedule(tuple(order), timed.arrival, tuple(charge), gains, ranges, obj)
+    obj = objective_value(order, arrival, charge, ranges, inst)
+    return Schedule(tuple(order), arrival, tuple(charge), gains, ranges, obj)
 
 
 def assemble_schedule(
@@ -380,8 +369,7 @@ def bfd_initial(inst: Instance) -> Schedule:
     )
     zeros = [0] * inst.n
     # arrivals of the current order without stops; None re-times in full
-    timed = propagate_times(order, zeros, inst)
-    arrival = timed.arrival if timed.feasible_times else None
+    arrival = propagate_times(order, zeros, inst)
     best_sched: Schedule | None = None
     for nd in flexible:
         best = None

@@ -4,9 +4,9 @@ Everything here recomputes expected values along a different path than the
 library code: the linear program below re-states the timing constraints for
 scipy's solver, the grid searches enumerate alternatives directly, the
 recomputing run memory prices every order a solver asks for in full, and
-the reference time-chain step and ant construction read node attributes
-and scan every node where the library reads its per-node timing table and
-open candidates.
+the reference time-chain step, its walk along an order and the ant
+construction read node attributes and scan every node where the library
+reads its per-node timing table and open candidates.
 """
 
 import math
@@ -163,7 +163,7 @@ def brute_min_stop_count(inst: Instance, order):
                 charge[chargeable[i]] = 1
             m >>= 1
             i += 1
-        if not propagate_times(order, charge, inst).feasible_times:
+        if propagate_times(order, charge, inst) is None:
             continue
         if _reference_ranges(order, _reference_gains(order, charge, inst), inst)[1] is not None:
             continue
@@ -219,7 +219,7 @@ def reference_assemble(order, inst):
     w = inst.weights
     nodes, n = inst.nodes, inst.n
     charge = [0] * n
-    if not propagate_times(order, charge, inst).feasible_times:
+    if propagate_times(order, charge, inst) is None:
         return None
     pos_of = {u: i for i, u in enumerate(order)}
 
@@ -243,7 +243,7 @@ def reference_assemble(order, inst):
             break
         for u in ranked_candidates(ranges, pos_of[deficit]):
             charge[u] = 1
-            if propagate_times(order, charge, inst).feasible_times:
+            if propagate_times(order, charge, inst) is not None:
                 added.append(u)
                 break
             charge[u] = 0
@@ -256,17 +256,17 @@ def reference_assemble(order, inst):
     while w.wc > 0:
         gains = _reference_gains(order, charge, inst)
         ranges, _ = _reference_ranges(order, gains, inst)
-        base = objective_value(order, propagate_times(order, charge, inst).arrival, charge, ranges, inst)
+        base = objective_value(order, propagate_times(order, charge, inst), charge, ranges, inst)
         progressed = False
         for u in ranked_candidates(ranges, len(order)):
             charge[u] = 1
             trial_times = propagate_times(order, charge, inst)
-            if not trial_times.feasible_times:
+            if trial_times is None:
                 charge[u] = 0
                 continue
             trial_gains = _reference_gains(order, charge, inst)
             trial_ranges, _ = _reference_ranges(order, trial_gains, inst)
-            trial_obj = objective_value(order, trial_times.arrival, charge, trial_ranges, inst)
+            trial_obj = objective_value(order, trial_times, charge, trial_ranges, inst)
             if trial_obj < base or sum(trial_gains) - sum(gains) >= EXTRA_STOP_FRACTION * inst.k_max:
                 progressed = True
             else:
@@ -278,10 +278,10 @@ def reference_assemble(order, inst):
     gains = _reference_gains(order, charge, inst)
     timed = propagate_times(order, charge, inst)
     ranges, deficit = _reference_ranges(order, gains, inst)
-    if not timed.feasible_times or deficit is not None:
+    if timed is None or deficit is not None:
         return None
-    obj = objective_value(order, timed.arrival, charge, ranges, inst)
-    return Schedule(tuple(order), timed.arrival, tuple(charge), gains, ranges, obj)
+    obj = objective_value(order, timed, charge, ranges, inst)
+    return Schedule(tuple(order), timed, tuple(charge), gains, ranges, obj)
 
 
 def reference_time_step(inst, prev, a_prev, w_prev, v, w_v, a0):
@@ -310,6 +310,30 @@ def reference_time_step(inst, prev, a_prev, w_prev, v, w_v, a0):
     if a_v > node.a_max - node.duration - w_v + TIME_TOL:
         return None
     return a_v
+
+
+def reference_propagate_times(order, charge, inst):
+    """Arrivals along ``order`` by a plain loop over
+    :func:`reference_time_step` from the route start, as
+    ``schedule.propagate_times`` walked an order before ``_retime`` took the
+    walk over: a tuple with the nodes off the order left NaN, or None when
+    the start window or a step breaks."""
+    start = inst.nodes[0]
+    w_prev = _walk(inst, 0, charge)
+    a0 = max(0.0, start.a_min - w_prev)
+    if a0 > start.a_max - start.duration - w_prev + TIME_TOL:
+        return None
+    arrival = [math.nan] * inst.n
+    arrival[0] = a_prev = a0
+    prev = 0
+    for u in order[1:]:
+        w_u = _walk(inst, u, charge)
+        a_u = reference_time_step(inst, prev, a_prev, w_prev, u, w_u, a0)
+        if a_u is None:
+            return None
+        arrival[u] = a_u
+        prev, a_prev, w_prev = u, a_u, w_u
+    return tuple(arrival)
 
 
 def reference_construct_route(inst, anchored, tau, eta, p, rng):

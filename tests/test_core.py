@@ -194,6 +194,21 @@ class TestFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             Weights(**kw)
 
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            ({"prefs": (1.0,)}, "prefs"),
+            ({"prefs": (1.0, 0.0, 0.0, 0.0)}, "prefs"),
+            ({"bounds": ((0.0, 1.0), (0.0, 1.0), ())}, "bounds"),
+            ({"bounds": ((0.0, 1.0, 2.0), (0.0, 1.0), (0.0, 1.0))}, "bounds"),
+            ({"bounds": ((0.0, 1.0), (0.0, 1.0))}, "bounds"),
+        ],
+        ids=["one-pref", "four-prefs", "empty-bound", "three-value-bound", "two-bounds"],
+    )
+    def test_weights_reject_badly_shaped_prefs_and_bounds(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            Weights(1.0, 0.0, 0.0, **kw)
+
     @pytest.mark.parametrize("x", [math.nan, math.inf])
     def test_normalize_weights_rejects_non_finite_prefs(self, seed42, x):
         with pytest.raises(ValueError, match="finite"):

@@ -212,6 +212,36 @@ class TestSaveLoad:
             load(p)
 
     @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(k_min="7.6"),
+            lambda d: d["nodes"][1].update(a_min="600"),
+            lambda d: d["dist"][1].__setitem__(2, "12.5"),
+            lambda d: d["travel"][2].__setitem__(1, True),
+            lambda d: d["weights"].update(wd=False),
+            lambda d: d["weights"].update(prefs=[1.0]),
+            lambda d: d["weights"].update(bounds=[[0, 1, 2], [0, 1], [0, 1]]),
+            lambda d: d["separators"].__setitem__(0, d["separators"][0] + 0.7),
+            lambda d: d["nodes"][1].update(id=1.9),
+            lambda d: next(nd for nd in d["nodes"] if nd["charging"])["charging"]["station"].update(plug_count=2.6),
+            lambda d: d.update(version=True),
+            lambda d: d.update(version=1.0),
+            lambda d: d["nodes"].__setitem__(1, 1),
+        ],
+        ids=["string-k_min", "string-a_min", "string-dist", "bool-travel", "bool-wd", "one-pref",
+             "three-value-bound", "fractional-separator", "fractional-id", "fractional-plug-count",
+             "bool-version", "float-version", "node-not-an-object"],
+    )
+    def test_mistyped_field_is_format_error(self, tmp_path, seed42, edit):
+        p = tmp_path / "inst.json"
+        save(seed42, p)
+        doc = json.loads(p.read_text())
+        edit(doc)
+        p.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError):
+            load(p)
+
+    @pytest.mark.parametrize(
         "literal, match",
         [("1e999", "1e999"), ("-1e999", "-1e999"), ("1" + "0" * 400, "too large"), ("9" * 5000, "digits")],
         ids=["float", "negative-float", "int-400-digits", "int-5000-digits"],

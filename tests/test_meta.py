@@ -339,9 +339,20 @@ class TestAco:
         inst = replace(seed42, nodes=(start, *seed42.nodes[1:]))
         assembled = []
         monkeypatch.setattr(meta, "assemble_schedule", lambda *args, **kw: assembled.append(args))
+        routes = []
+        real_construct = meta._construct_route
+
+        def recording_construct(*args):
+            routes.append(real_construct(*args))
+            return routes[-1]
+
+        monkeypatch.setattr(meta, "_construct_route", recording_construct)
         with pytest.raises(NoSolutionFoundError):
             aco(inst, params=AcoParams(iterations=3), rng_seed=0)
         assert assembled == []
+        # completed routes come without arrivals, for the memo to time in full
+        completed = [route for route in routes if route is not None]
+        assert completed and all(arrival is None for _, arrival in completed)
 
 
 class TestSearchTrace:

@@ -62,6 +62,7 @@ from helpers import (
     _reference_ranges,
     reference_assemble,
     reference_construct_route,
+    reference_propagate_times,
     reference_time_step,
 )
 
@@ -301,21 +302,51 @@ def test_retiming_a_flipped_stop_equals_full_propagation(data):
     chargers = [u for u in order if inst.nodes[u].charging is not None]
     stops = data.draw(st.sets(st.sampled_from(chargers), max_size=3)) if chargers else set()
     charge = [int(u in stops) for u in range(inst.n)]
-    base = propagate_times(order, charge, inst)
-    if not base.feasible_times:
+    base = reference_propagate_times(order, charge, inst)
+    if base is None:
         charge = [0] * inst.n
-        base = propagate_times(order, charge, inst)
-        if not base.feasible_times:
+        base = reference_propagate_times(order, charge, inst)
+        if base is None:
             reject()
     # every position, the route start and the end included, both directions
     for p, u in enumerate(order):
         flipped = list(charge)
         flipped[u] = 1 - flipped[u]
-        full = propagate_times(order, flipped, inst)
-        got = _retime(order, flipped, base.arrival, p, p + 1, inst)
-        assert (got is not None) == full.feasible_times
-        if got is not None:
-            assert repr(tuple(got)) == repr(full.arrival)
+        _assert_retimed(_retime(order, flipped, base, p, p + 1, inst), order, flipped, inst)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_timing_in_full_equals_the_reference_walk(data):
+    # the identity order of a grid instance, the BFD order or any order,
+    # under any flags (those of charger-less nodes and the end node
+    # included); the start node may get a charger, and its window may break
+    # at the route start, with or without the walk to a start charger
+    source = data.draw(st.sampled_from(["grid", "small", "multiday"]))
+    if source == "grid":
+        inst = data.draw(grid_instances())
+        order = list(range(inst.n))
+    else:
+        inst = data.draw(instances(max_nodes=12) if source == "small" else multiday_instances())
+        if data.draw(st.booleans()):
+            order = list(bfd_initial(inst).order)
+        else:
+            order = data.draw(orders(inst, keep_anchor_order=data.draw(st.booleans())))
+    start = inst.nodes[0]
+    variant = data.draw(st.sampled_from(["as drawn", "start charger", "short start", "closed start"]))
+    if variant != "as drawn":
+        walk = float(data.draw(st.integers(0, 30)))
+        start = replace(start, charging=ChargingOption(walk, 1.0, 50.0))
+    if variant == "short start":  # breaks when the start charger is flagged
+        start = replace(start, a_min=0.0, a_max=walk / 2.0, duration=0.0)
+    elif variant == "closed start":  # closes before 0, where every route starts
+        start = replace(start, a_min=-30.0, a_max=-20.0, duration=0.0)
+    inst = replace(inst, nodes=(start, *inst.nodes[1:]))
+    drawn = data.draw(st.lists(st.sampled_from((0, 0, 1)), min_size=inst.n, max_size=inst.n))
+    zeros = [0] * inst.n
+    # the drawn flags, none, and the start node's alone
+    for charge in (drawn, zeros, [1, *zeros[1:]]):
+        _assert_retimed(_retime(order, charge, None, 0, len(order), inst), order, charge, inst)
 
 
 @PROPERTY_SETTINGS
@@ -365,19 +396,21 @@ def timed_orders(draw):
         if len(order) > 3 and draw(st.booleans()):
             move, _, _ = draw(st.sampled_from(_moves(len(order))))
             moved = list(move.apply(order))
-            if propagate_times(moved, [0] * inst.n, inst).feasible_times:
+            if propagate_times(moved, [0] * inst.n, inst) is not None:
                 order = moved
-    timed = propagate_times(order, [0] * inst.n, inst)
-    if not timed.feasible_times:
+    arrival = propagate_times(order, [0] * inst.n, inst)
+    if arrival is None:
         reject()
-    return inst, order, timed.arrival
+    return inst, order, arrival
 
 
-def _assert_retimed(got, order, inst):
-    full = propagate_times(order, [0] * inst.n, inst)
-    assert (got is not None) == full.feasible_times
-    if got is not None:
-        assert repr(tuple(got)) == repr(full.arrival)
+def _assert_retimed(got, order, charge, inst):
+    """``got``, a timing of ``order`` under ``charge`` by ``_retime``, and
+    ``propagate_times`` both equal the reference walk."""
+    want = reference_propagate_times(order, charge, inst)
+    # repr compares every float bit for bit, NaN included
+    assert repr(propagate_times(order, charge, inst)) == repr(want)
+    assert repr(None if got is None else tuple(got)) == repr(want)
 
 
 @PROPERTY_SETTINGS
@@ -388,16 +421,16 @@ def test_retiming_a_span_equals_full_propagation(case):
     # every tabu move, with the span it reorders
     for move, lo, hi in _moves(len(order)):
         moved = move.apply(order)
-        _assert_retimed(_retime(moved, zeros, arrival, lo, hi, inst), moved, inst)
+        _assert_retimed(_retime(moved, zeros, arrival, lo, hi, inst), moved, zeros, inst)
     # every slot of every removed node, against the order without it
     for k in range(1, len(order) - 1):
         rest = order[:k] + order[k + 1:]
-        timed = propagate_times(rest, zeros, inst)
-        if not timed.feasible_times:
+        rest_arrival = propagate_times(rest, zeros, inst)
+        if rest_arrival is None:
             continue
         for p in range(1, len(rest)):
             cand = rest[:p] + [order[k]] + rest[p:]
-            _assert_retimed(_retime(cand, zeros, timed.arrival, p, p + 1, inst), cand, inst)
+            _assert_retimed(_retime(cand, zeros, rest_arrival, p, p + 1, inst), cand, zeros, inst)
 
 
 @PROPERTY_SETTINGS
@@ -407,9 +440,9 @@ def test_assembly_with_handed_arrivals_equals_full_assembly(case):
     zeros = [0] * inst.n
     for move, _, _ in _moves(len(order)):
         moved = move.apply(order)
-        timed = propagate_times(moved, zeros, inst)
-        if timed.feasible_times:
-            got = assemble_schedule(moved, inst, arrival=timed.arrival)
+        arrival = propagate_times(moved, zeros, inst)
+        if arrival is not None:
+            got = assemble_schedule(moved, inst, arrival=arrival)
             assert repr(got) == repr(assemble_schedule(moved, inst))
 
 
@@ -436,12 +469,12 @@ def test_objective_floor_never_exceeds_the_assembled_objective(data):
     for _ in range(8):
         order = data.draw(orders(inst, keep_anchor_order=True))
         for v in variants:
-            timed = propagate_times(order, [0] * v.n, v)
-            if not timed.feasible_times:
+            arrival = propagate_times(order, [0] * v.n, v)
+            if arrival is None:
                 continue
             sched = assemble_schedule(order, v)
             if sched is not None:
-                assert objective_floor(order, timed.arrival, v) <= sched.objective
+                assert objective_floor(order, arrival, v) <= sched.objective
 
 
 @settings(PROPERTY_SETTINGS, max_examples=20)

@@ -33,8 +33,8 @@ class TestPropagateTimes:
     def test_flexible_chain_telescopes(self):
         inst = line_instance(3, durations=[20.0, 30.0, 40.0], dist=np.zeros((5, 5)))
         t = propagate_times((0, 1, 2, 3, 4), [0] * 5, inst)
-        assert t.feasible_times
-        assert t.arrival == (0.0, 0.0, 20.0, 50.0, 90.0)
+        assert t is not None
+        assert t == (0.0, 0.0, 20.0, 50.0, 90.0)
 
     def test_fixed_arrival_shifts_for_charger_walk(self):
         nodes = (
@@ -46,14 +46,14 @@ class TestPropagateTimes:
         dist = np.zeros((3, 3))
         inst = Instance(nodes=nodes, dist=dist, travel=dist, k_min=0.0, k_max=100.0, k_start=100.0)
         t = propagate_times((0, 1, 2), [0, 1, 0], inst)
-        assert t.feasible_times
-        assert t.arrival[1] == pytest.approx(595.0, abs=1e-12)
+        assert t is not None
+        assert t[1] == pytest.approx(595.0, abs=1e-12)
 
     def test_seed42_oracle_arrivals_reproduced(self, seed42):
         best = oracle(seed42)
         t = propagate_times(best.order, best.charge, seed42)
-        assert t.feasible_times
-        assert t.arrival == best.arrival
+        assert t is not None
+        assert t == best.arrival
 
     def test_separator_departure_uses_latest_departure(self, seed42):
         s = bfd_initial(seed42)
@@ -67,7 +67,7 @@ class TestPropagateTimes:
 
     def test_partial_orders_accepted(self, seed42):
         t = propagate_times((0, seed42.n - 1), [0] * seed42.n, seed42)
-        assert t.feasible_times
+        assert t is not None
 
     def test_bad_endpoints_rejected(self, seed42):
         with pytest.raises(ValueError):
