@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import Instance, Weights, objective_lower_bound, validate
@@ -39,7 +39,7 @@ class BenchConfig:
     generated instance and one CSV row per attempted solver.
     ``per_run_time_limit`` reaches only the exact search: the ``exact``
     solver and ``hybrid``'s exact branch.  Tabu search, ALNS and ACO run
-    all their iterations (ROADMAP item 3 gives them a deadline).
+    all their iterations (ROADMAP item 5 gives them a deadline).
     """
 
     out_dir: str
@@ -105,12 +105,14 @@ def hybrid_dispatch(
     alns_params: AlnsParams | None = None,
     aco_params: AcoParams | None = None,
 ):
-    """Pick a solver by instance size and answer within the time budget.
+    """Pick a solver by instance size alone.
 
-    Small instances go to the exact solver, medium ones to tabu search,
-    large ones to ant colony optimization unless its projected runtime
-    (first-iteration time times the iteration count) overruns the budget,
-    in which case the neighborhood search takes over.
+    Below ``EXACT_SIZE_LIMIT`` events the exact search answers within
+    ``budget`` seconds, below ``TS_SIZE_LIMIT`` tabu search answers, and
+    from there on ant colony optimization, with the adaptive large
+    neighborhood search answering only when no ant finds a route.
+    ``budget`` reaches the exact search only.  The trace gets one
+    ``dispatch`` event per solver started.
     """
     n_events = inst.event_count
 
@@ -125,19 +127,12 @@ def hybrid_dispatch(
     if n_events < TS_SIZE_LIMIT:
         note("ts")
         return tabu_search(inst, ts_params, rng_seed, trace)
-    p = AcoParams() if aco_params is None else aco_params
-    start = time.perf_counter()
+    note("aco")
     try:
-        aco(inst, replace(p, iterations=1), rng_seed)
-        probe = time.perf_counter() - start
+        return aco(inst, aco_params, rng_seed, trace)
     except NoSolutionFoundError:
-        probe = float("inf")
-    projected = probe * p.iterations
-    if projected > budget:
-        note("alns", projected_aco_s=projected)
+        note("alns")
         return alns(inst, alns_params, rng_seed, trace)
-    note("aco", projected_aco_s=projected)
-    return aco(inst, p, rng_seed, trace)
 
 
 def run_solver(solver: str, inst: Instance, limit: float, rng_seed: int):

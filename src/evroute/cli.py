@@ -27,10 +27,16 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _parse_triple(text: str) -> tuple[float, float, float]:
+def _parse_weights(text: str) -> tuple[float, float, float]:
     parts = [float(x) for x in text.split(",")]
-    if len(parts) != 3 or not all(math.isfinite(x) for x in parts):
-        raise argparse.ArgumentTypeError("expected three comma-separated finite numbers")
+    if (
+        len(parts) != 3
+        or not all(math.isfinite(x) and x >= 0 for x in parts)
+        or abs(sum(parts) - 1.0) > 1e-9
+    ):
+        raise argparse.ArgumentTypeError(
+            "expected three comma-separated finite non-negative numbers summing to 1"
+        )
     return tuple(parts)  # type: ignore[return-value]
 
 
@@ -101,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--solver", choices=SOLVER_IDS, default="hybrid")
     s.add_argument("--time-limit", type=_parse_positive, default=15.0, help=time_limit_help)
     s.add_argument("--seed", type=_parse_seed, default=0, help="solver RNG seed")
-    s.add_argument("--weights", type=_parse_triple, default=None, metavar="WD,WT,WC",
+    s.add_argument("--weights", type=_parse_weights, default=None, metavar="WD,WT,WC",
                    help="preference triple, renormalized against the instance")
     s.add_argument("--epsilon", type=_parse_non_negative, default=None)
     s.add_argument("--out", default=None, help="report CSV path (default stdout)")

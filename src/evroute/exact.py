@@ -311,7 +311,6 @@ class LinearRow:
     coeffs: dict[str, float]
     sense: str  # one of <=, >=, =
     rhs: float
-    big_m: float | None = None
 
 
 @dataclass(frozen=True)
@@ -383,8 +382,8 @@ def linearize(inst: Instance) -> LinearModel:
 
     rows: list[LinearRow] = []
 
-    def add(name, coeffs, sense, rhs, big_m=None):
-        rows.append(LinearRow(name, coeffs, sense, rhs, big_m))
+    def add(name, coeffs, sense, rhs):
+        rows.append(LinearRow(name, coeffs, sense, rhs))
 
     for u in range(n):
         add(
@@ -449,7 +448,7 @@ def linearize(inst: Instance) -> LinearModel:
                 if u != n - 1 and walk[u]:
                     coeffs[f"r_{u}"] = coeffs.get(f"r_{u}", 0.0) - 2.0 * walk[u]
                 rhs = nodes[u].duration + float(inst.travel[u, v]) - m_time
-            add(f"chain_time_{u}_{v}", coeffs, ">=", rhs, big_m=m_time)
+            add(f"chain_time_{u}_{v}", coeffs, ">=", rhs)
 
     add("start_range", {"k_0": 1.0}, "=", inst.k_start)
     for u in range(n):
@@ -465,9 +464,9 @@ def linearize(inst: Instance) -> LinearModel:
             coeffs = {f"k_{v}": 1.0, f"k_{u}": -1.0, f"x_{u}_{v}": m_range}
             if u != n - 1:
                 coeffs[f"ct_{u}"] = -1.0
-            add(f"chain_range_hi_{u}_{v}", dict(coeffs), "<=", m_range - d_uv, big_m=m_range)
+            add(f"chain_range_hi_{u}_{v}", dict(coeffs), "<=", m_range - d_uv)
             coeffs[f"x_{u}_{v}"] = -m_range
-            add(f"chain_range_lo_{u}_{v}", coeffs, ">=", -m_range - d_uv, big_m=m_range)
+            add(f"chain_range_lo_{u}_{v}", coeffs, ">=", -m_range - d_uv)
 
     w = inst.weights
     obj: dict[str, float] = {}

@@ -472,13 +472,11 @@ def alns(
     uniformly at random and the route is rebuilt by a repair operator drawn
     by roulette over adaptive weights.  Candidates are accepted on strict
     improvement.  Operator weights are refreshed every ``segment``
-    iterations from scored outcomes (new global best 3, improved current 2,
-    accepted 1, else 0).
+    iterations from scored outcomes (new best 3, else 0).
     """
     p = AlnsParams() if params is None else params
     rng = np.random.default_rng(rng_seed)
-    current = bfd_initial(inst)
-    best = current
+    best = bfd_initial(inst)
     removable = _removable(inst)
     n_events = len(removable)
     ops = [op for op in _ALL_REPAIRS if op in p.repair_set]
@@ -502,7 +500,7 @@ def alns(
         dod = min(max(dod, 1), n_events)
         removed = sorted(int(u) for u in rng.choice(removable, size=dod, replace=False))
         removed_set = set(removed)
-        base = [u for u in current.order if u not in removed_set]
+        base = [u for u in best.order if u not in removed_set]
         op = _roulette(rng, ops, probs)
         uses[op] += 1
         if op == REPAIR_RANDOM:
@@ -519,18 +517,10 @@ def alns(
                 (REPAIR_CONSTRUCTIVE, tuple(base), tuple(removed)),
                 lambda: _repair_constructive(memo, base, removed),
             )
-        accepted = False
-        if cand is not None:
-            if cand.objective < best.objective:
-                scores[op] += 3.0
-                accepted = True
-            elif cand.objective < current.objective:
-                scores[op] += 2.0
-                accepted = True
-            if accepted:
-                current = cand
-                if cand.objective < best.objective:
-                    best = cand
+        accepted = cand is not None and cand.objective < best.objective
+        if accepted:
+            scores[op] += 3.0
+            best = cand
         if trace is not None:
             trace.note_best(best.objective)
             trace.record(

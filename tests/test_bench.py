@@ -64,7 +64,7 @@ class TestHybridDispatch:
         assert sched is not None
         assert [e for e in trace.events if e["kind"] == "dispatch"][-1]["solver"] == "ts"
 
-    def test_large_with_tiny_budget_falls_back_to_alns(self):
+    def test_large_goes_aco_whatever_the_budget(self):
         inst = generate(GenConfig(seed=0, event_count=80, max_days=8))
         trace = SearchTrace()
         sched = hybrid_dispatch(
@@ -74,8 +74,21 @@ class TestHybridDispatch:
             alns_params=AlnsParams(iterations=3, repair_set=("constructive",)),
             aco_params=AcoParams(iterations=2, ants=2),
         )
-        assert sched is not None
-        assert [e for e in trace.events if e["kind"] == "dispatch"][-1]["solver"] == "alns"
+        assert [e["solver"] for e in trace.events if e["kind"] == "dispatch"] == ["aco"]
+        assert validate(sched, inst) == []
+
+    def test_large_falls_back_to_alns_when_no_ant_finds_a_route(self):
+        # one colony pass of ten ants finds no route on this instance
+        inst = generate(GenConfig(seed=1, event_count=45))
+        trace = SearchTrace()
+        sched = hybrid_dispatch(
+            inst,
+            rng_seed=0,
+            trace=trace,
+            alns_params=AlnsParams(iterations=3, repair_set=("constructive",)),
+            aco_params=AcoParams(iterations=1),
+        )
+        assert [e["solver"] for e in trace.events if e["kind"] == "dispatch"] == ["aco", "alns"]
         assert validate(sched, inst) == []
 
 

@@ -102,6 +102,16 @@ def test_non_finite_weights_and_epsilon_are_usage_errors(instance_path, flag, va
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--weights", "1,1,1"], ["--weights", "0.5,0.5,0.5"], ["--weights=-0.5,1,0.5"],
+])
+def test_weights_off_the_simplex_are_usage_errors(instance_path, argv, capsys):
+    assert main(["solve", str(instance_path), "--solver", "ts", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "summing to 1" in err
+    assert "internal error" not in err
+
+
 def test_usage_error_exit_code():
     assert main(["solve"]) == 2
     assert main(["unknown-command"]) == 2
