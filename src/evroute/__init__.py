@@ -79,7 +79,6 @@ from .schedule import (
     bfd_initial,
     plan_charging,
     propagate_times,
-    respects_anchor_order,
     waiting_slack,
 )
 

@@ -275,6 +275,29 @@ class Instance:
             rows.append(NodeTiming(kind, nd.duration, nd.a_max, base, nd.a_max - nd.duration))
         return tuple(rows)
 
+    @cached_property
+    def follows(self) -> tuple[tuple[bool, ...], ...]:
+        """Per ``[u][v]``, whether ``v`` may directly follow ``u`` in an order
+        timed without stops.
+
+        False exactly when ``u``'s earliest departure plus the travel to
+        ``v`` lies above ``v``'s pin, or else its latest arrival, by more
+        than ``TIME_TOL``.  The earliest departure is the pin or window
+        opening plus the stay, or a separator's latest departure.  These are
+        the sums the time-chain step forms without walks, a node reached
+        later leaves no earlier, and rounding is monotone, so an order with
+        a False pair fails that timing (Savelsbergh, ORSA J. Computing 4(2),
+        1992).  A NaN sum passes, as in the step; and since NaN travel can
+        leave a windowed node's arrival NaN, windowed nodes then reject no
+        successor.
+        """
+        timing = self.timing
+        dep = np.array([t.a_max if t.kind == DAY_END else t.base + t.duration for t in timing])
+        limit = np.array([(t.base if t.kind == PINNED else t.top) + TIME_TOL for t in timing])
+        if np.isnan(self.travel).any():
+            dep[[t.kind == WINDOWED for t in timing]] = -math.inf
+        return tuple(map(tuple, (~(dep[:, None] + self.travel > limit)).tolist()))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented

@@ -258,25 +258,31 @@ class _RunMemo:
         return sched
 
 
-def _moves(n: int) -> list[tuple[Move, int, int]]:
+def _moves(n: int) -> list[tuple[Move, int, int, tuple[tuple[int, int], ...]]]:
     """Every swap and insert on interior positions, each with the span of
-    positions it reorders, ``lo`` to ``hi - 1``."""
+    positions it reorders, ``lo`` to ``hi - 1``, and the position pairs
+    ``(a, b)`` of the order it applies to whose nodes it makes adjacent,
+    ``b``'s node right after ``a``'s: three or four per move."""
     out = []
     for i in range(1, n - 1):
         for j in range(i + 1, n - 1):
-            out.append((Move("swap", i, j), i, j + 1))
+            if j == i + 1:
+                pairs = ((i - 1, j), (j, i), (i, j + 1))
+            else:
+                pairs = ((i - 1, j), (j, i + 1), (j - 1, i), (i, j + 1))
+            out.append((Move("swap", i, j), i, j + 1, pairs))
     for i in range(1, n - 1):
         for j in range(1, n - 1):
-            if i != j:
-                out.append((Move("insert", i, j), min(i, j), max(i, j) + 1))
+            if i < j:
+                out.append((Move("insert", i, j), i, j + 1, ((i - 1, i + 1), (j, i), (i, j + 1))))
+            elif i > j:
+                out.append((Move("insert", i, j), j, i + 1, ((j - 1, i), (i, j), (i - 1, i + 1))))
     return out
 
 
-def _admissible_moves(
-    order: Sequence[int], rank: dict[int, int], moves: Sequence[tuple[Move, int, int]]
-) -> list[tuple[Move, int, int]]:
-    """The moves of ``moves`` (from :func:`_moves`), with their spans, whose
-    applied order keeps the anchored order, given that ``order`` keeps it.
+def _admissible_moves(order: Sequence[int], rank: dict[int, int], moves: Sequence[tuple]) -> list[tuple]:
+    """The entries of ``moves`` (from :func:`_moves`) whose move, applied to
+    ``order``, keeps the anchored order, given that ``order`` keeps it.
 
     A move shifts every node of its span by one place except the moving
     ones: both ends of a swap, position ``i`` of an insert.  So the anchored
@@ -288,8 +294,27 @@ def _admissible_moves(
     pre = list(accumulate(anchored, initial=0))
     return list(compress(moves, [
         pre[hi] - pre[lo] < 2 or not (anchored[m.i] or m.kind == "swap" and anchored[m.j])
-        for m, lo, hi in moves
+        for m, lo, hi, _ in moves
     ]))
+
+
+def _scan(order: tuple[int, ...], inst: Instance, moves: Sequence[tuple]) -> tuple[Sequence[float], list]:
+    """The neighbourhood of ``order``, a time-feasible order that keeps the
+    anchored order, as tabu search walks it: the order's arrivals without
+    stops, and ``(move, candidate, lo, hi)`` in move order for each move of
+    ``moves`` (from :func:`_moves`) that keeps the anchored order and makes
+    no pair adjacent that :attr:`~evroute.core.Instance.follows` rejects.
+    The order's own pairs all pass, so a candidate that passes has only
+    passing pairs; one that fails cannot be timed without stops."""
+    follows = inst.follows
+    cands = []
+    for move, lo, hi, pairs in _admissible_moves(order, inst.anchor_rank, moves):
+        for a, b in pairs:
+            if not follows[order[a]][order[b]]:
+                break
+        else:
+            cands.append((move, move.apply(order), lo, hi))
+    return propagate_times(order, [0] * inst.n, inst), cands
 
 
 def tabu_search(
@@ -306,9 +331,12 @@ def tabu_search(
     move's inverse tabu.  Within an iteration, a candidate whose objective
     floor lies above the best choice so far is screened out before the
     charging planner (Glover and Laguna, *Tabu Search*, 1997, candidate
-    lists); it could not have been chosen, so the search is unchanged.  The
-    search is deterministic; ``rng_seed`` is accepted for interface
-    symmetry only.
+    lists); it could not have been chosen, so the search is unchanged.
+    Each order the search stands on is scanned once (:func:`_scan`), and a
+    later visit walks the candidates that scan kept, less those the run
+    memory has since found infeasible: the moves skipped either way could
+    never be chosen.  The search is deterministic; ``rng_seed`` is accepted
+    for interface symmetry only.
     """
     del rng_seed  # exhaustive neighborhood, nothing stochastic
     p = TsParams() if params is None else params
@@ -323,32 +351,36 @@ def tabu_search(
     }
     memo = _RunMemo(inst)
     assemble = memo.assemble
+    settled = memo._seen
     moves = _moves(len(current.order))
-    zeros = [0] * inst.n
-    # arrivals without stops of each order the search has stood on; it
-    # cycles through few of them
-    arrivals: dict[tuple[int, ...], Sequence[float]] = {}
+    # the scan of each order the search has stood on; it cycles through few
+    # of them
+    scans: dict[tuple[int, ...], tuple[Sequence[float], list]] = {}
     for _ in range(p.iterations):
         chosen: tuple[Move, Schedule, bool] | None = None
-        # a move changes only its span, so each candidate is re-timed from
-        # the current order's arrivals
-        arrival = arrivals.get(current.order)
-        if arrival is None:
-            arrival = arrivals[current.order] = propagate_times(current.order, zeros, inst)
         # current.order keeps the anchored order: BFD built it, or it passed
-        # this screen
-        for move, lo, hi in _admissible_moves(current.order, inst.anchor_rank, moves):
+        # the scan
+        arrival, cands = scans.get(current.order) or _scan(current.order, inst, moves)
+        kept = []
+        for cand in cands:
+            move, order, lo, hi = cand
             # only a strictly lower objective replaces the choice, so a
             # candidate whose floor lies above it need not be assembled
             ceiling = math.inf if chosen is None else chosen[1].objective
-            sched = assemble(move.apply(current.order), arrival, lo, hi, ceiling)
+            # a move changes only its span, so each candidate is re-timed
+            # from the current order's arrivals
+            sched = assemble(order, arrival, lo, hi, ceiling)
             if sched is None:
+                if order not in settled:  # held by its floor, not infeasible
+                    kept.append(cand)
                 continue
+            kept.append(cand)
             is_tabu = move in tabu[move.kind]
             if is_tabu and not (p.aspiration and sched.objective < best.objective):
                 continue
             if chosen is None or sched.objective < chosen[1].objective:
                 chosen = (move, sched, is_tabu)
+        scans[current.order] = (arrival, kept)
         if chosen is None:
             break
         move, sched, was_tabu = chosen
@@ -414,6 +446,7 @@ def _repair_constructive(memo, base, removed):
     w = inst.weights
     dist = inst.dist_rows
     travel = inst.travel_rows
+    follows = inst.follows
     zeros = [0] * inst.n
     order = list(base)
     # arrivals of the order built so far without stops; each trial
@@ -432,6 +465,8 @@ def _repair_constructive(memo, base, removed):
         cands.sort()
         placed = False
         for _, m, p in cands:
+            if not (follows[order[p - 1]][m] and follows[m][order[p]]):
+                continue  # fails the timing without stops
             trial = order[:p] + [m] + order[p:]
             trial_arrival = _retime(trial, zeros, arrival, p, p + 1, inst)
             if trial_arrival is not None:

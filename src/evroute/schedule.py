@@ -32,19 +32,6 @@ def anchored_sequence(inst: Instance) -> tuple[int, ...]:
     return tuple(inst.anchor_rank)
 
 
-def respects_anchor_order(order: Sequence[int], inst: Instance) -> bool:
-    """True when fixed events and separators appear in canonical order."""
-    ranks = inst.anchor_rank
-    last = -1
-    for u in order:
-        r = ranks.get(u)
-        if r is not None:
-            if r < last:
-                return False
-            last = r
-    return True
-
-
 def _time_step(
     inst: Instance, prev: int, a_prev: float, w_prev: float, v: int, w_v: float, a0: float
 ) -> float | None:
@@ -356,9 +343,11 @@ def bfd_initial(inst: Instance) -> Schedule:
 
     Fixed events and separators are laid out chronologically; flexible
     events, longest stay first, are inserted into the feasible position
-    that leaves the least idle time.  Each gap is timed without stops from
-    the inserted event on, against the current order's arrivals, and only
-    the gaps that pass go on to charging and pricing.  Raises
+    that leaves the least idle time.  A gap is skipped when
+    :attr:`~evroute.core.Instance.follows` rejects either pair it makes;
+    each other gap is timed without stops from the inserted event on,
+    against the current order's arrivals, and only the gaps that pass go on
+    to charging and pricing.  Raises
     :class:`~evroute.errors.NoInitialSolutionError` when some flexible
     event fits nowhere.
     """
@@ -370,10 +359,13 @@ def bfd_initial(inst: Instance) -> Schedule:
     zeros = [0] * inst.n
     # arrivals of the current order without stops; None re-times in full
     arrival = propagate_times(order, zeros, inst)
+    follows = inst.follows
     best_sched: Schedule | None = None
     for nd in flexible:
         best = None
         for p in range(1, len(order)):
+            if not (follows[order[p - 1]][nd.id] and follows[nd.id][order[p]]):
+                continue  # fails the timing without stops
             cand = order[:p] + [nd.id] + order[p:]
             cand_arrival = _retime(cand, zeros, arrival, p, p + 1, inst)
             if cand_arrival is None:

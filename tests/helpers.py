@@ -3,17 +3,22 @@
 Everything here recomputes expected values along a different path than the
 library code: the linear program below re-states the timing constraints for
 scipy's solver, the grid searches enumerate alternatives directly, the
-recomputing run memory prices every order a solver asks for in full, and
-the reference time-chain step, its walk along an order and the ant
+recomputing run memory prices every order a solver asks for in full, the
+reference time-chain step, its walk along an order and the ant
 construction read node attributes and scan every node where the library
-reads its per-node timing table and open candidates.
+reads its per-node timing table and open candidates, the anchored-order
+check scans a whole order where the solvers compare ranks, and the
+reference tabu search hands every move of every iteration to the run
+memory where the library keeps one scan per order.
 """
 
 import math
+from collections import deque
 
-from evroute import Instance, NodeKind, Schedule, meta
+from evroute import Instance, NodeKind, Schedule, TsParams, bfd_initial, meta
 from evroute.core import TIME_TOL
-from evroute.meta import _RunMemo, aco_select
+from evroute.meta import _RunMemo, _admissible_moves, _moves, aco_select
+from evroute.schedule import propagate_times
 
 _GRID_MARGIN = 8  # minutes explored above each chain/window lower bound
 
@@ -419,3 +424,59 @@ class RecomputingMemo(_RunMemo):
 
     def repair(self, key, compute):
         return compute()
+
+
+def respects_anchor_order(order, inst):
+    """True when fixed events and separators appear in canonical order: a
+    scan of the whole order, as the library checked each order before its
+    solvers screened moves and slots by rank."""
+    ranks = inst.anchor_rank
+    last = -1
+    for u in order:
+        r = ranks.get(u)
+        if r is not None:
+            if r < last:
+                return False
+            last = r
+    return True
+
+
+def reference_tabu_search(inst, params=None, trace=None):
+    """``meta.tabu_search`` as it searched before it kept one scan per
+    order: each iteration applies every move of the current order that
+    keeps the anchored order and hands the result to the run memory, in
+    move order, with no pairwise follow table in front."""
+    p = TsParams() if params is None else params
+    current = bfd_initial(inst)
+    best = current
+    half_n = math.ceil(inst.event_count / 2)
+    len_swap = half_n if p.tabu_len_swap is None else p.tabu_len_swap
+    len_insert = half_n if p.tabu_len_insert is None else p.tabu_len_insert
+    tabu = {"swap": deque(maxlen=len_swap), "insert": deque(maxlen=len_insert)}
+    memo = _RunMemo(inst)
+    moves = _moves(len(current.order))
+    zeros = [0] * inst.n
+    for _ in range(p.iterations):
+        chosen = None
+        arrival = propagate_times(current.order, zeros, inst)
+        for move, lo, hi, _ in _admissible_moves(current.order, inst.anchor_rank, moves):
+            ceiling = math.inf if chosen is None else chosen[1].objective
+            sched = memo.assemble(move.apply(current.order), arrival, lo, hi, ceiling)
+            if sched is None:
+                continue
+            is_tabu = move in tabu[move.kind]
+            if is_tabu and not (p.aspiration and sched.objective < best.objective):
+                continue
+            if chosen is None or sched.objective < chosen[1].objective:
+                chosen = (move, sched, is_tabu)
+        if chosen is None:
+            break
+        move, sched, was_tabu = chosen
+        tabu[move.kind].append(move.inverse())
+        current = sched
+        if current.objective < best.objective:
+            best = current
+        if trace is not None:
+            trace.note_best(best.objective)
+            trace.record("move", move=move, tabu=was_tabu, objective=sched.objective)
+    return best

@@ -23,17 +23,17 @@ from evroute import (
     hybrid_dispatch,
     oracle,
     pheromone_update,
-    respects_anchor_order,
     solve_completion,
     tabu_search,
     validate,
 )
 from evroute import meta
 from evroute.errors import NoSolutionFoundError
-from evroute.meta import PHEROMONE_FLOOR, _repair_constructive, _removable, _RunMemo
+from evroute.meta import PHEROMONE_FLOOR, _admissible_moves, _moves, _repair_constructive, _removable, _RunMemo
+from evroute.schedule import _retime
 
 from conftest import SEED42_ORACLE_OBJECTIVE, two_node_instance
-from helpers import RecomputingMemo
+from helpers import RecomputingMemo, respects_anchor_order
 
 
 class _StubRng:
@@ -58,6 +58,16 @@ class TestMoves:
         moved = m.apply(order)
         assert moved == (0, 2, 3, 1, 4)
         assert m.inverse().apply(moved) == order
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_each_move_lists_the_pairs_it_makes_adjacent(self, n):
+        order = tuple(range(10, 10 + n))
+        before = set(zip(order, order[1:]))
+        for move, lo, hi, pairs in _moves(n):
+            moved = move.apply(order)
+            assert moved[:lo] == order[:lo] and moved[hi:] == order[hi:]
+            made = {(order[a], order[b]) for a, b in pairs}
+            assert made == set(zip(moved, moved[1:])) - before
 
 
 @pytest.mark.parametrize("params", [TsParams, AlnsParams, AcoParams])
@@ -462,7 +472,8 @@ class TestRunMemo:
         # an order whose re-timing without stops fails is priced right there,
         # without an assembly; one whose objective floor lies above the
         # iteration's best candidate so far is held, timed, for a later
-        # iteration, and never re-timed
+        # iteration, and never re-timed; one that holds a pair the follow
+        # table rejects never reaches the memo
         assembled = Counter()
         failed_timing = Counter()
         timed = Counter()
@@ -494,15 +505,37 @@ class TestRunMemo:
         monkeypatch.setattr(meta, "assemble_schedule", counting_assemble)
         monkeypatch.setattr(meta, "_retime", counting_retime)
         monkeypatch.setattr(_RunMemo, "assemble", counting_lookup)
-        tabu_search(seed42, params=TsParams(iterations=200))
+        iterations = 200
+        trace = SearchTrace()
+        tabu_search(seed42, params=TsParams(iterations=iterations), trace=trace)
         assert max(assembled.values()) == 1
         assert max(failed_timing.values()) == 1
         assert max(timed.values()) == 1
         assert not set(assembled) & set(failed_timing)
         assert not set(screened) & set(failed_timing)
+        # the orders scanned: the one before each move, and the last one when
+        # the search stopped early for want of a move
+        order = bfd_initial(seed42).order
+        scanned = []
+        for event in trace.events:
+            scanned.append(order)
+            order = event["move"].apply(order)
+        if len(trace.events) < iterations:
+            scanned.append(order)
+        moves = _moves(len(order))
+        candidates = {
+            move.apply(o) for o in scanned for move, *_ in _admissible_moves(o, seed42.anchor_rank, moves)
+        }
+        follows = seed42.follows
+        rejected = {c for c in candidates if not all(follows[u][v] for u, v in zip(c, c[1:]))}
+        zeros = [0] * seed42.n
+        assert all(_retime(c, zeros, None, 0, len(c), seed42) is None for c in rejected)
+        assert not rejected & set(looked_up)
+        assert set(assembled) | set(failed_timing) | set(screened) | rejected == candidates
         assert set(assembled) | set(failed_timing) | set(screened) == set(looked_up)
-        # the screen fires: some orders are never assembled, and held ones
-        # are looked up again
+        # the table and the floor screen fire: some orders are never timed,
+        # some never assembled, and held ones are looked up again
+        assert rejected
         assert set(screened) - set(assembled)
         assert max(screened.values()) > 1
         # the search revisits orders, so the memo saves assemblies

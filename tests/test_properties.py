@@ -35,7 +35,6 @@ from evroute import (
     load,
     oracle,
     propagate_times,
-    respects_anchor_order,
     save,
     solve_completion,
     solve_exact,
@@ -43,7 +42,7 @@ from evroute import (
     validate,
 )
 from evroute import meta
-from evroute.core import objective_floor
+from evroute.core import TIME_TOL, objective_floor
 from evroute.errors import GenerationFailedError, NoInitialSolutionError, NoSolutionFoundError
 from evroute.meta import (
     ETA_EPS,
@@ -63,7 +62,9 @@ from helpers import (
     reference_assemble,
     reference_construct_route,
     reference_propagate_times,
+    reference_tabu_search,
     reference_time_step,
+    respects_anchor_order,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -211,9 +212,9 @@ def test_tabu_screen_admits_exactly_the_anchor_respecting_moves(data):
     order = tuple(data.draw(orders(inst, keep_anchor_order=True)))
     assert respects_anchor_order(order, inst)
     moves = _moves(inst.n)
-    expected = [m for m, _, _ in moves if respects_anchor_order(m.apply(order), inst)]
+    expected = [m for m, *_ in moves if respects_anchor_order(m.apply(order), inst)]
     admitted = _admissible_moves(order, inst.anchor_rank, moves)
-    assert [m for m, _, _ in admitted] == expected
+    assert [m for m, *_ in admitted] == expected
 
 
 @PROPERTY_SETTINGS
@@ -394,7 +395,7 @@ def timed_orders(draw):
         inst = draw(instances(max_nodes=12) if source == "small" else multiday_instances())
         order = list(bfd_initial(inst).order)
         if len(order) > 3 and draw(st.booleans()):
-            move, _, _ = draw(st.sampled_from(_moves(len(order))))
+            move, *_ = draw(st.sampled_from(_moves(len(order))))
             moved = list(move.apply(order))
             if propagate_times(moved, [0] * inst.n, inst) is not None:
                 order = moved
@@ -419,7 +420,7 @@ def test_retiming_a_span_equals_full_propagation(case):
     inst, order, arrival = case
     zeros = [0] * inst.n
     # every tabu move, with the span it reorders
-    for move, lo, hi in _moves(len(order)):
+    for move, lo, hi, _ in _moves(len(order)):
         moved = move.apply(order)
         _assert_retimed(_retime(moved, zeros, arrival, lo, hi, inst), moved, zeros, inst)
     # every slot of every removed node, against the order without it
@@ -438,7 +439,7 @@ def test_retiming_a_span_equals_full_propagation(case):
 def test_assembly_with_handed_arrivals_equals_full_assembly(case):
     inst, order, _ = case
     zeros = [0] * inst.n
-    for move, _, _ in _moves(len(order)):
+    for move, *_ in _moves(len(order)):
         moved = move.apply(order)
         arrival = propagate_times(moved, zeros, inst)
         if arrival is not None:
@@ -498,6 +499,62 @@ def test_tabu_search_equals_full_pricing(data):
         assert run() == remembered
 
 
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(st.data())
+def test_tabu_search_equals_the_reference_loop(data):
+    # the search scans each order it stands on once and skips the moves the
+    # follow table rejects; handing every move of every iteration to the
+    # memo must give the same run, with and without aspiration and tabu lists
+    small = data.draw(st.booleans())
+    inst = data.draw(instances(max_nodes=12) if small else multiday_instances())
+    lengths = st.one_of(st.none(), st.integers(0, 3))
+    params = TsParams(
+        tabu_len_swap=data.draw(lengths),
+        tabu_len_insert=data.draw(lengths),
+        iterations=data.draw(st.integers(1, 60 if small else 3)),
+        aspiration=data.draw(st.booleans()),
+    )
+
+    def run(solve):
+        trace = SearchTrace()
+        try:
+            sched = solve(inst, params=params, trace=trace)
+        except NoInitialSolutionError:
+            reject()
+        return repr((sched, trace.best, trace.events))
+
+    assert run(tabu_search) == run(reference_tabu_search)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_no_order_the_follow_table_rejects_can_be_timed(data):
+    # the BFD order of a 1-3-day instance, every move of it and drawn
+    # orders, all keeping the anchored order; sometimes with a NaN travel
+    # time on an edge of the BFD order, which the time step lets through
+    # and which leaves a windowed node's arrival NaN downstream
+    days = data.draw(st.integers(1, 3))
+    try:
+        inst = generate(GenConfig(seed=data.draw(st.integers(0, 2**31 - 1)),
+                                  event_count=data.draw(st.integers(days, 12)), max_days=days))
+        base = list(bfd_initial(inst).order)
+    except (GenerationFailedError, NoInitialSolutionError):
+        reject()
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(0, len(base) - 2))
+        travel = inst.travel.copy()
+        travel[base[k], base[k + 1]] = math.nan
+        inst = replace(inst, travel=travel)
+    candidates = [base, *(list(m.apply(base)) for m, *_ in _moves(len(base)))]
+    candidates += [data.draw(orders(inst, keep_anchor_order=True)) for _ in range(8)]
+    zeros = [0] * inst.n
+    follows = inst.follows
+    for order in candidates:
+        rejected = not all(follows[u][v] for u, v in zip(order, order[1:]))
+        if rejected and respects_anchor_order(order, inst):
+            assert _retime(order, zeros, None, 0, len(order), inst) is None, order
+
+
 # minutes with awkward binary fractions, so that sums round
 _MINUTES = st.integers(0, 10**7).map(lambda k: k / 6143.0)
 
@@ -554,6 +611,29 @@ def test_table_time_step_equals_the_attribute_step(inst, data):
                     got = _time_step(inst, prev, a_prev, w_prev, v, w_v, a0)
                     want = reference_time_step(inst, prev, a_prev, w_prev, v, w_v, a0)
                     assert repr(got) == repr(want), (prev, v, w_prev, w_v)
+
+
+@PROPERTY_SETTINGS
+@given(kind_instances(), st.data())
+def test_follow_table_is_the_step_from_the_earliest_departure(inst, data):
+    # a pair is rejected exactly when the step without walks from the
+    # earliest departure fails, the route start left out (a0 = -inf); one
+    # pair's travel is drawn to land its sum just inside the tolerance
+    earliest = [nd.fixed_arrival if nd.kind is NodeKind.FIXED else nd.a_min for nd in inst.nodes]
+    u = data.draw(st.integers(0, inst.n - 2))
+    v = data.draw(st.integers(1, inst.n - 1).filter(lambda v: v != u))
+    nu, nv = inst.nodes[u], inst.nodes[v]
+    dep = nu.a_max if nu.kind is NodeKind.SEPARATOR else earliest[u] + nu.duration
+    limit = nv.fixed_arrival if nv.kind is NodeKind.FIXED else nv.a_max - nv.duration
+    if limit - dep >= 0:
+        travel = inst.travel.copy()
+        travel[u, v] = limit - dep + TIME_TOL / 2
+        inst = replace(inst, travel=travel)
+    for prev in range(inst.n - 1):
+        for nxt in range(1, inst.n):
+            if nxt != prev:
+                step = reference_time_step(inst, prev, earliest[prev], 0.0, nxt, 0.0, -math.inf)
+                assert inst.follows[prev][nxt] == (step is not None), (prev, nxt)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=30)

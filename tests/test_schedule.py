@@ -17,7 +17,6 @@ from evroute import (
     oracle,
     plan_charging,
     propagate_times,
-    respects_anchor_order,
     validate,
     waiting_slack,
 )
@@ -26,7 +25,13 @@ from evroute.errors import NoInitialSolutionError
 from conftest import line_instance, option, two_node_instance, wide_node
 from evroute.schedule import _range_pass
 
-from helpers import _reference_ranges, brute_min_stop_count, grid_min_arrivals, lp_min_arrival
+from helpers import (
+    _reference_ranges,
+    brute_min_stop_count,
+    grid_min_arrivals,
+    lp_min_arrival,
+    respects_anchor_order,
+)
 
 
 class TestPropagateTimes:
