@@ -229,7 +229,8 @@ class _RunMemo:
         remembered as None without an assembly.  An order whose objective
         floor (:func:`~evroute.core.objective_floor`) lies strictly above
         ``ceiling`` cannot price at or below it: it comes back None,
-        unassembled, and is held for a later request.
+        unassembled, and is held for a later request.  Every floor passes
+        an infinite ceiling, so none is computed for one.
         """
         key = tuple(order)
         seen = self._seen
@@ -243,11 +244,14 @@ class _RunMemo:
             if arrival is None:
                 seen[key] = None
                 return None
-            held = screened[key] = (arrival, objective_floor(key, arrival, self.inst))
-        if held[1] > ceiling:
-            return None
-        del screened[key]
-        sched = seen[key] = assemble_schedule(key, self.inst, arrival=held[0])
+            if ceiling < math.inf:
+                held = screened[key] = (arrival, objective_floor(key, arrival, self.inst))
+        if held is not None:
+            if held[1] > ceiling:
+                return None
+            del screened[key]
+            arrival = held[0]
+        sched = seen[key] = assemble_schedule(key, self.inst, arrival=arrival)
         return sched
 
     def repair(self, key: tuple, compute: Callable[[], Schedule | None]) -> Schedule | None:
@@ -428,12 +432,19 @@ def _valid_positions(order: list[int], node: int, inst: Instance) -> list[int]:
 
 
 def _repair_random(memo, base, removed, rng):
+    """The first of up to ``_RANDOM_REPAIR_ATTEMPTS`` random reinsertions of
+    ``removed`` into ``base`` that assembles.  A drawn order with a pair the
+    follow table rejects fails its timing without stops, so it is dropped
+    before the memo sees it; the draws stay the same."""
     inst = memo.inst
+    follows = inst.follows
     for _ in range(_RANDOM_REPAIR_ATTEMPTS):
         order = list(base)
         for m in rng.permutation(removed):
             positions = _valid_positions(order, int(m), inst)
             order.insert(positions[int(rng.integers(0, len(positions)))], int(m))
+        if not all(follows[u][v] for u, v in zip(order, order[1:])):
+            continue
         sched = memo.assemble(order, None, 0, len(order), math.inf)
         if sched is not None:
             return sched
@@ -650,6 +661,7 @@ def _construct_route(inst, anchored, by_top, tau, eta, p, rng):
     """
     n = inst.n
     timing = inst.timing
+    follows = inst.follows
     rank = inst.anchor_rank
     visited = [False] * n
     free = [v for v in range(1, n - 1) if v not in rank]
@@ -681,7 +693,15 @@ def _construct_route(inst, anchored, by_top, tau, eta, p, rng):
             insort(open_, pending)
         cands = []
         arrivals = []
+        follows_current = follows[current]
         for v in open_:
+            # the table rejects only steps that the time step rejects, so
+            # it screens both steps before either is timed
+            if not follows_current[v]:
+                continue
+            via = pending is not None and v != pending
+            if via and not follows[v][pending]:
+                continue
             a_v = _time_step(inst, current, a_cur, 0.0, v, 0.0, a0)
             if a_v is None:
                 continue
@@ -689,9 +709,8 @@ def _construct_route(inst, anchored, by_top, tau, eta, p, rng):
             dep_v = a_max if kind == DAY_END else a_v + duration
             if dep_v > (top2 if v == tightest else top1):
                 continue
-            if pending is not None and v != pending:
-                if _time_step(inst, v, a_v, 0.0, pending, 0.0, a0) is None:
-                    continue
+            if via and _time_step(inst, v, a_v, 0.0, pending, 0.0, a0) is None:
+                continue
             cands.append(v)
             arrivals.append(a_v)
         if not cands:

@@ -90,7 +90,11 @@ def propagate_times(
 
 
 def _range_pass(
-    order: Sequence[int], charge: Sequence[int], inst: Instance
+    order: Sequence[int],
+    charge: Sequence[int],
+    inst: Instance,
+    ref: tuple[tuple[float, ...], tuple[float, ...], int | None] | None = None,
+    lo: int = 0,
 ) -> tuple[tuple[float, ...], tuple[float, ...], int | None]:
     """One walk of the range chain: gains, arrival ranges and first deficit.
 
@@ -98,26 +102,55 @@ def _range_pass(
     smaller of its total gain and the headroom on arrival; the charge is
     applied before departure and capped at the battery maximum, and each
     edge then consumes its distance.
+
+    ``ref``, when given, is this function's result for ``order`` under
+    flags that differ from ``charge`` only at position ``lo``.  The ranges
+    up to ``lo`` are then unchanged, so the walk starts there, as
+    :func:`_retime` does.  After ``lo`` it stops at the first range equal to
+    its old one, since every later step then has the same inputs as before,
+    once the first deficit is known: found by this walk, or the
+    reference's, when that one lies at or before ``lo`` or not before the
+    stop.  The result equals a full pass bit for bit.
     """
     nodes = inst.nodes
     dist = inst.dist_rows
     k_max = inst.k_max
     floor = inst.k_min - RANGE_TOL
-    gains = [0.0] * inst.n
-    k = [math.nan] * inst.n
-    deficit = prev = None
-    cur = inst.k_start
-    for u in order:
-        if prev is not None:
-            cur = min(cur + gains[prev], k_max) - dist[prev][u]
-        prev = u
-        k[u] = cur
+    if ref is None:
+        lo = 0
+        gains = [0.0] * inst.n
+        k = [math.nan] * inst.n  # equal to no range: a full pass never stops
+        u = order[0]
+        cur = k[u] = inst.k_start
+        deficit = u if cur < floor else None
+    else:
+        gains, k = list(ref[0]), list(ref[1])
+        u = order[lo]
+        cur = k[u]
+        # the reference's first deficit, and the last position at which the
+        # walk may stop on it without a deficit of its own
+        later = ref[2]
+        ahead = len(order) if later is None else order.index(later)
+        deficit = None
+        if ahead <= lo:  # among the unchanged ranges
+            deficit = later
+    option = nodes[u].charging
+    gains[u] = max(0.0, min(option.max_gain, k_max - cur)) if charge[u] and option is not None else 0.0
+    for q in range(lo + 1, len(order)):
+        v = order[q]
+        cur = min(cur + gains[u], k_max) - dist[u][v]
+        if cur == k[v] and (deficit is not None or q <= ahead):
+            if deficit is None:
+                deficit = later
+            break
+        k[v] = cur
         if deficit is None and cur < floor:
-            deficit = u
-        if charge[u]:
-            option = nodes[u].charging
+            deficit = v
+        if charge[v]:
+            option = nodes[v].charging
             if option is not None:
-                gains[u] = max(0.0, min(option.max_gain, k_max - cur))
+                gains[v] = max(0.0, min(option.max_gain, k_max - cur))
+        u = v
     return tuple(gains), tuple(k), deficit
 
 
@@ -193,9 +226,9 @@ def plan_charging(
     then skips that first timing.  Callers that derive an order from one
     already timed get it from :func:`_retime` at a fraction of a full pass.
 
-    The ranges come from one pass over the range chain per charge set, and
-    a trial stop re-times the order only from its own position on (see
-    :func:`_retime`); the results equal full re-propagation bit for bit.
+    Each charge set is timed and ranged from the last one's timing and
+    ranges, from the flipped stop's position on (see :func:`_retime` and
+    :func:`_range_pass`); the results equal full passes bit for bit.
     """
     nodes = inst.nodes
     charge = [0] * inst.n
@@ -229,14 +262,16 @@ def plan_charging(
             charge[u] = 0
         return None
 
-    gains, ranges, deficit = _range_pass(order, charge, inst)
+    # each charge set's range pass resumes from the last one's at the
+    # flipped stop
+    state = gains, ranges, deficit = _range_pass(order, charge, inst)
     while deficit is not None:
         stop = first_timed_stop(ranges, pos_of[deficit])
         if stop is None:
             return None
         u, arrival = stop
         added.append(u)
-        gains, ranges, deficit = _range_pass(order, charge, inst)
+        state = gains, ranges, deficit = _range_pass(order, charge, inst, state, pos_of[u])
 
     # Drop stops the remaining set already covers; removal never tightens
     # the timetable, so only the battery needs rechecking.  The arrivals
@@ -244,11 +279,12 @@ def plan_charging(
     dropped = False
     for u in reversed(added):
         charge[u] = 0
-        trial_gains, trial_ranges, deficit = _range_pass(order, charge, inst)
-        if deficit is None:
-            gains, ranges, dropped = trial_gains, trial_ranges, True
+        trial = _range_pass(order, charge, inst, state, pos_of[u])
+        if trial[2] is None:
+            state, dropped = trial, True
         else:
             charge[u] = 1
+    gains, ranges, _ = state
 
     if inst.weights.wc > 0:
         # Each accepted stop's arrivals, gains, ranges and objective are
@@ -260,7 +296,8 @@ def plan_charging(
         total = sum(gains)
         while (stop := first_timed_stop(ranges, len(order))) is not None:
             u, trial = stop
-            trial_gains, trial_ranges, _ = _range_pass(order, charge, inst)
+            trial_state = _range_pass(order, charge, inst, state, pos_of[u])
+            trial_gains, trial_ranges, _ = trial_state
             trial_obj = objective_value(order, trial, charge, trial_ranges, inst)
             # Incremental charge is net of capping at later stops; it
             # equals the end-of-route range increase by conservation.
@@ -268,7 +305,7 @@ def plan_charging(
             if not (trial_obj < obj or trial_total - total >= EXTRA_STOP_FRACTION * inst.k_max):
                 charge[u] = 0
                 break
-            arrival, gains, ranges = trial, trial_gains, trial_ranges
+            arrival, state, gains, ranges = trial, trial_state, trial_gains, trial_ranges
             obj, total = trial_obj, trial_total
 
     return tuple(charge), gains

@@ -468,6 +468,26 @@ class TestRunMemo:
         assert outcomes[True, True] > 0
         assert outcomes[True, False] == outcomes[False, False] == 0
 
+    def test_only_a_finite_ceiling_computes_a_floor(self, seed42, monkeypatch):
+        # ACO routes and ALNS repairs ask with an infinite ceiling, which
+        # every floor passes; tabu search's finite ceilings use them
+        floors = Counter()
+        real_floor = meta.objective_floor
+
+        def counting_floor(order, arrival, inst):
+            floors[solver] += 1
+            return real_floor(order, arrival, inst)
+
+        monkeypatch.setattr(meta, "objective_floor", counting_floor)
+        for solver, solve in (
+            ("aco", lambda: aco(seed42, params=AcoParams(iterations=5), rng_seed=1)),
+            ("alns", lambda: alns(seed42, params=AlnsParams(iterations=30), rng_seed=1)),
+            ("ts", lambda: tabu_search(seed42, params=TsParams(iterations=5))),
+        ):
+            solve()
+        assert floors["aco"] == floors["alns"] == 0
+        assert floors["ts"] > 0
+
     def test_tabu_search_assembles_each_order_once(self, seed42, monkeypatch):
         # an order whose re-timing without stops fails is priced right there,
         # without an assembly; one whose objective floor lies above the

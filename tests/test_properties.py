@@ -34,6 +34,7 @@ from evroute import (
     hybrid_dispatch,
     load,
     oracle,
+    plan_charging,
     propagate_times,
     save,
     solve_completion,
@@ -350,10 +351,13 @@ def test_timing_in_full_equals_the_reference_walk(data):
         _assert_retimed(_retime(order, charge, None, 0, len(order), inst), order, charge, inst)
 
 
-@PROPERTY_SETTINGS
+@settings(PROPERTY_SETTINGS, max_examples=80)
 @given(st.data())
 def test_assembly_equals_the_reference_planner(data):
-    inst = data.draw(st.one_of(instances(max_nodes=10), multiday_instances()))
+    # multi-day orders take two draws in three: they need the most stops,
+    # so they drive the planner's resumed range passes furthest
+    multiday = data.draw(st.sampled_from([False, True, True]))
+    inst = data.draw(multiday_instances() if multiday else instances(max_nodes=10))
     base = list(bfd_initial(inst).order)
     candidates = [base]
     for _ in range(4):
@@ -365,6 +369,15 @@ def test_assembly_equals_the_reference_planner(data):
     for order in candidates:
         # repr compares every float bit for bit
         assert repr(assemble_schedule(order, inst)) == repr(reference_assemble(order, inst))
+        # the planner's gains are its flags' gains, whatever passes it resumed
+        planned = plan_charging(order, inst)
+        if planned is not None:
+            assert repr(planned[1]) == repr(_reference_gains(order, planned[0], inst))
+
+
+def _reference_range_pass(order, charge, inst):
+    gains = _reference_gains(order, charge, inst)
+    return (gains, *_reference_ranges(order, gains, inst))
 
 
 @PROPERTY_SETTINGS
@@ -374,9 +387,56 @@ def test_range_pass_equals_the_reference_chain(data):
     order = data.draw(orders(inst, keep_anchor_order=True))
     # flags on nodes without a charger and on the end node must be ignored
     charge = data.draw(st.lists(st.sampled_from((0, 1)), min_size=inst.n, max_size=inst.n))
-    gains = _reference_gains(order, charge, inst)
     # repr compares every float bit for bit
-    assert repr(_range_pass(order, charge, inst)) == repr((gains, *_reference_ranges(order, gains, inst)))
+    assert repr(_range_pass(order, charge, inst)) == repr(_reference_range_pass(order, charge, inst))
+
+
+@st.composite
+def range_cases(draw):
+    """An instance, a full order of it and drawn charge flags (the end
+    node's and charger-less nodes' included) for the range chain.  The start
+    range is sometimes drawn low, so that deficits come early, and an edge
+    of the order sometimes gets a NaN distance."""
+    inst = draw(st.one_of(instances(max_nodes=12), multiday_instances()))
+    order = draw(orders(inst, keep_anchor_order=draw(st.booleans())))
+    if draw(st.booleans()):
+        inst = replace(inst, k_start=inst.k_min + draw(st.floats(0.0, 1.0)) * (inst.k_max - inst.k_min))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(order) - 2))
+        dist = inst.dist.copy()
+        dist[order[k], order[k + 1]] = math.nan
+        inst = replace(inst, dist=dist)
+    charge = draw(st.lists(st.sampled_from((0, 1)), min_size=inst.n, max_size=inst.n))
+    return inst, order, charge
+
+
+@PROPERTY_SETTINGS
+@given(range_cases())
+def test_resuming_the_range_pass_at_a_flipped_flag_equals_the_full_pass(case):
+    # every position, so each flag goes on or off before, at and after the
+    # first deficit, the start and end nodes included
+    inst, order, charge = case
+    ref = _range_pass(order, charge, inst)
+    for p, u in enumerate(order):
+        flipped = list(charge)
+        flipped[u] = 1 - flipped[u]
+        # repr compares every float bit for bit, NaN included
+        want = repr(_reference_range_pass(order, flipped, inst))
+        assert repr(_range_pass(order, flipped, inst)) == want
+        assert repr(_range_pass(order, flipped, inst, ref, p)) == want, p
+
+
+@PROPERTY_SETTINGS
+@given(range_cases(), st.data())
+def test_a_chain_of_resumed_range_passes_equals_the_full_pass(case, data):
+    # each pass resumes from the one before, as the planner adds, drops and
+    # tries stops
+    inst, order, charge = case
+    state = _range_pass(order, charge, inst)
+    for p in data.draw(st.lists(st.integers(0, len(order) - 1), min_size=1, max_size=12)):
+        charge[order[p]] = 1 - charge[order[p]]
+        state = _range_pass(order, charge, inst, state, p)
+        assert repr(state) == repr(_reference_range_pass(order, charge, inst)), p
 
 
 @st.composite
@@ -639,8 +699,17 @@ def test_follow_table_is_the_step_from_the_earliest_departure(inst, data):
 @settings(PROPERTY_SETTINGS, max_examples=30)
 @given(st.data())
 def test_ant_construction_equals_the_full_scan(data):
+    # sometimes with a NaN travel time, often on an edge out of the start
+    # node, which every ant weighs: the time step lets NaN through, so the
+    # follow table must reject no step that the time step takes
     inst = data.draw(st.one_of(instances(max_nodes=12), multiday_instances()))
     n = inst.n
+    if data.draw(st.booleans()):
+        u = data.draw(st.one_of(st.just(0), st.integers(0, n - 2)))
+        v = data.draw(st.integers(1, n - 1).filter(lambda v: v != u))
+        travel = inst.travel.copy()
+        travel[u, v] = math.nan
+        inst = replace(inst, travel=travel)
     p = AcoParams()
     w = inst.weights
     eta = (1.0 / (w.wd * inst.dist + w.wt * inst.travel + ETA_EPS)).tolist()
@@ -663,3 +732,29 @@ def test_ant_construction_equals_the_full_scan(data):
         last = len(order) - 1
         got = memo.assemble(order, arrival, last, last + 1, math.inf)
         assert repr(got) == repr(assemble_schedule(order, inst))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(st.data())
+def test_random_repair_never_times_an_order_the_follow_table_rejects(data):
+    # every order the random repair hands to the run memory, which times it,
+    # has only pairs the table passes; the run is the one without the screen
+    inst = data.draw(st.one_of(instances(max_nodes=12), multiday_instances()))
+    params = AlnsParams(iterations=data.draw(st.integers(1, 3)), repair_set=(meta.REPAIR_RANDOM,))
+    rng_seed = data.draw(st.integers(0, 2**32 - 1))
+    handed = []
+
+    class Recording(_RunMemo):
+        def assemble(self, order, *timing):
+            handed.append(tuple(order))
+            return super().assemble(order, *timing)
+
+    with mock.patch.object(meta, "_RunMemo", Recording):
+        try:
+            got = alns(inst, params=params, rng_seed=rng_seed)
+        except NoInitialSolutionError:
+            reject()
+    follows = inst.follows
+    assert all(follows[u][v] for order in handed for u, v in zip(order, order[1:]))
+    with mock.patch.object(meta, "_RunMemo", RecomputingMemo):
+        assert repr(alns(inst, params=params, rng_seed=rng_seed)) == repr(got)
