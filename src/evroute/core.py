@@ -298,6 +298,17 @@ class Instance:
             dep[[t.kind == WINDOWED for t in timing]] = -math.inf
         return tuple(map(tuple, (~(dep[:, None] + self.travel > limit)).tolist()))
 
+    @cached_property
+    def bfd_start(self) -> Schedule:
+        """The best-fit-decreasing initial solution
+        (:func:`~evroute.schedule.bfd_initial`), built on first request and
+        then shared by every solver seeded from it.  A failed build stores
+        nothing, so each request raises
+        :class:`~evroute.errors.NoInitialSolutionError` again."""
+        from .schedule import _build_bfd  # deferred: schedule builds on this module
+
+        return _build_bfd(self)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented

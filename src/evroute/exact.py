@@ -249,8 +249,10 @@ def solve_exact(
     The search completes the order start -> end with every interior node;
     subtrees are cut on anchored-order violations, earliest-time
     infeasibility of the partial order, and an optimistic objective bound
-    against the incumbent (seeded from the best-fit-decreasing
-    construction).  Charging is resolved per complete order: exactly, by
+    against the incumbent (seeded from the instance's best-fit-decreasing
+    start, :func:`~evroute.schedule.bfd_initial`, built on the first
+    request and shared with every later solver call on the same instance
+    object).  Charging is resolved per complete order: exactly, by
     subset enumeration, while the chargeable node count stays within
     :data:`LEAF_ENUM_MAX_CHARGEABLE`, otherwise by the greedy planner, in
     which case an exhausted tree reports ``heuristicLeaf`` instead of

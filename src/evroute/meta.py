@@ -207,7 +207,10 @@ class _RunMemo:
     held apart with its arrivals without stops and its floor, so that a
     revisit costs one lookup too, and a later, higher ceiling assembles it
     from them.  Each solver call makes its own and drops it on return, so no
-    state outlives the call.
+    state outlives the call.  The best-fit-decreasing start the solvers seed
+    from is not held here: it lives on the instance
+    (:attr:`~evroute.core.Instance.bfd_start`), since it depends on the
+    instance alone.
     """
 
     def __init__(self, inst: Instance):
@@ -339,8 +342,11 @@ def tabu_search(
     Each order the search stands on is scanned once (:func:`_scan`), and a
     later visit walks the candidates that scan kept, less those the run
     memory has since found infeasible: the moves skipped either way could
-    never be chosen.  The search is deterministic; ``rng_seed`` is accepted
-    for interface symmetry only.
+    never be chosen.  The search starts from the instance's
+    best-fit-decreasing start (:func:`~evroute.schedule.bfd_initial`),
+    built on the first request and shared with every later solver call on
+    the same instance object.  The search is deterministic; ``rng_seed`` is
+    accepted for interface symmetry only.
     """
     del rng_seed  # exhaustive neighborhood, nothing stochastic
     p = TsParams() if params is None else params
@@ -518,7 +524,10 @@ def alns(
     uniformly at random and the route is rebuilt by a repair operator drawn
     by roulette over adaptive weights.  Candidates are accepted on strict
     improvement.  Operator weights are refreshed every ``segment``
-    iterations from scored outcomes (new best 3, else 0).
+    iterations from scored outcomes (new best 3, else 0).  The search
+    starts from the instance's best-fit-decreasing start
+    (:func:`~evroute.schedule.bfd_initial`), built on the first request and
+    shared with every later solver call on the same instance object.
     """
     p = AlnsParams() if params is None else params
     rng = np.random.default_rng(rng_seed)

@@ -387,7 +387,18 @@ def bfd_initial(inst: Instance) -> Schedule:
     to charging and pricing.  Raises
     :class:`~evroute.errors.NoInitialSolutionError` when some flexible
     event fits nowhere.
+
+    The schedule is built once per instance object, on the first request,
+    and kept on it (:attr:`~evroute.core.Instance.bfd_start`), so every
+    later call, and every solver seeded from it, returns the same object.
+    ``replace(inst, ...)`` and :func:`~evroute.gen.load` make new instances
+    with their own start; a failed build is not kept and raises again.
     """
+    return inst.bfd_start
+
+
+def _build_bfd(inst: Instance) -> Schedule:
+    """The construction behind :func:`bfd_initial`, run once per instance."""
     order = [0, *anchored_sequence(inst), inst.n - 1]
     flexible = sorted(
         (nd for nd in inst.nodes[1:-1] if nd.kind is NodeKind.FLEXIBLE),

@@ -51,6 +51,18 @@ def two_node_instance(d01=10.0, weights=Weights(1.0, 0.0, 0.0), epsilon=0.0, **k
     )
 
 
+def no_start_instance():
+    """A flexible event that fits before no fixed event: BFD finds no start."""
+    nodes = (
+        wide_node(0, NodeKind.START, a_min=0.0, a_max=100.0),
+        EventNode(1, NodeKind.FLEXIBLE, a_min=0.0, a_max=50.0, duration=50.0),
+        EventNode(2, NodeKind.FIXED, a_min=0.0, a_max=60.0, duration=60.0, fixed_arrival=0.0),
+        wide_node(3, NodeKind.END),
+    )
+    dist = np.zeros((4, 4))
+    return Instance(nodes=nodes, dist=dist, travel=dist, k_min=0.0, k_max=10.0, k_start=10.0)
+
+
 def line_instance(n_flexible, durations=None, dist=None, travel=None, charging=None, **kw):
     """Start, a run of flexible events, end; wide windows, generous battery."""
     count = n_flexible + 2

@@ -17,6 +17,9 @@ from evroute import (
     run_benchmark,
     validate,
 )
+from evroute import bench
+
+from conftest import no_start_instance
 
 
 class TestQuality:
@@ -128,6 +131,15 @@ class TestRunBenchmark:
                 assert float(r["quality"]) == 1.0
         agg_rows = list(csv.DictReader(agg.open()))
         assert {(r["n_events"], r["solver"]) for r in agg_rows} == {("3", "exact"), ("3", "alns")}
+
+    def test_instance_without_a_start_reports_it_per_solver(self, tmp_path, monkeypatch):
+        # the start the solvers share is built before their timed calls;
+        # when it fails, each seeded solver still reports that as its status
+        monkeypatch.setattr(bench, "generate", lambda cfg: no_start_instance())
+        cfg = BenchConfig(out_dir=str(tmp_path), seeds=(0,), solvers=("exact", "ts", "alns"), sizes=(2,))
+        runs, _ = run_benchmark(cfg)
+        status = {r["solver"]: r["status"] for r in csv.DictReader(runs.open())}
+        assert status == {"exact": "infeasible", "ts": "noInitialSolution", "alns": "noInitialSolution"}
 
     def test_failure_leaves_marker(self, tmp_path):
         cfg = BenchConfig(out_dir=str(tmp_path), seeds=(0,), solvers=("exact",), sizes=(99,))

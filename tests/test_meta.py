@@ -2,6 +2,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,10 +25,11 @@ from evroute import (
     oracle,
     pheromone_update,
     solve_completion,
+    solve_exact,
     tabu_search,
     validate,
 )
-from evroute import meta
+from evroute import meta, schedule
 from evroute.errors import NoSolutionFoundError
 from evroute.meta import PHEROMONE_FLOOR, _admissible_moves, _moves, _repair_constructive, _removable, _RunMemo
 from evroute.schedule import _retime
@@ -560,3 +562,40 @@ class TestRunMemo:
         assert max(screened.values()) > 1
         # the search revisits orders, so the memo saves assemblies
         assert sum(looked_up.values()) > 2 * (len(assembled) + len(failed_timing))
+
+
+
+class TestSharedStart:
+    """Tabu search, ALNS and the exact search seed from the instance's one
+    best-fit-decreasing start: warm or cold, they give the same results."""
+
+    CFG = GenConfig(seed=3, event_count=7, max_days=2)
+    CALLS = [
+        partial(tabu_search, params=TsParams(iterations=8)),
+        *(partial(alns, params=AlnsParams(iterations=4, repair_set=(op,)), rng_seed=1) for op in meta._ALL_REPAIRS),
+        # schedule, status, nodes explored and incumbents
+        lambda inst, trace: solve_exact(inst),
+    ]
+
+    @staticmethod
+    def _outcome(call, inst):
+        """The call's result on ``inst`` and its trace, by ``repr``."""
+        trace = SearchTrace()
+        return repr((call(inst, trace=trace), trace.best, trace.events))
+
+    @pytest.mark.parametrize("warm_up", [bfd_initial, solve_exact, tabu_search])
+    def test_warm_equals_cold(self, warm_up):
+        # cold: each call on a fresh instance, so each builds the start
+        cold = [self._outcome(call, generate(self.CFG)) for call in self.CALLS]
+        inst = generate(self.CFG)
+        warm_up(inst)
+        assert [self._outcome(call, inst) for call in self.CALLS] == cold
+
+    def test_one_instance_builds_once(self, monkeypatch):
+        inst = generate(self.CFG)  # weight normalization builds on its own instance
+        builds = []
+        real = schedule._build_bfd
+        monkeypatch.setattr(schedule, "_build_bfd", lambda i: builds.append(i) or real(i))
+        for call in self.CALLS:
+            self._outcome(call, inst)
+        assert builds == [inst]

@@ -14,15 +14,18 @@ from evroute import (
     assemble_schedule,
     bfd_initial,
     generate,
+    load,
+    normalize_weights,
     oracle,
     plan_charging,
     propagate_times,
+    save,
     validate,
     waiting_slack,
 )
 from evroute.errors import NoInitialSolutionError
 
-from conftest import line_instance, option, two_node_instance, wide_node
+from conftest import line_instance, no_start_instance, option, two_node_instance, wide_node
 from evroute.schedule import _range_pass
 
 from helpers import (
@@ -255,16 +258,39 @@ class TestBfdInitial:
         assert bfd_initial(inst).order == tuple(order)
 
     def test_unplaceable_flexible_event_raises(self):
-        nodes = (
-            wide_node(0, NodeKind.START, a_min=0.0, a_max=100.0),
-            EventNode(1, NodeKind.FLEXIBLE, a_min=0.0, a_max=50.0, duration=50.0),
-            EventNode(2, NodeKind.FIXED, a_min=0.0, a_max=60.0, duration=60.0, fixed_arrival=0.0),
-            wide_node(3, NodeKind.END),
-        )
-        dist = np.zeros((4, 4))
-        inst = Instance(nodes=nodes, dist=dist, travel=dist, k_min=0.0, k_max=10.0, k_start=10.0)
+        inst = no_start_instance()
         with pytest.raises(NoInitialSolutionError):
             bfd_initial(inst)
+        # a failed build is not kept: the second request fails the same way
+        with pytest.raises(NoInitialSolutionError):
+            bfd_initial(inst)
+
+
+class TestSharedStart:
+    CFG = GenConfig(seed=5, event_count=8, max_days=2)
+
+    def test_built_once_per_instance(self):
+        inst = generate(self.CFG)
+        assert bfd_initial(inst) is bfd_initial(inst)
+
+    def test_replace_gets_its_own_start(self):
+        inst = generate(self.CFG)
+        bfd_initial(inst)
+        w = normalize_weights(inst, (0.2, 0.3, 0.5))
+        other = replace(inst, weights=w)
+        cold = bfd_initial(replace(generate(self.CFG), weights=w))
+        assert repr(bfd_initial(other)) == repr(cold)
+        # the weights change the start's objective, so a start kept across
+        # replace would show
+        assert repr(cold) != repr(bfd_initial(inst))
+
+    def test_load_gets_its_own_start(self, tmp_path):
+        inst = generate(self.CFG)
+        start = bfd_initial(inst)
+        save(inst, tmp_path / "inst.json")
+        loaded = load(tmp_path / "inst.json")
+        assert bfd_initial(loaded) is not start
+        assert repr(bfd_initial(loaded)) == repr(bfd_initial(generate(self.CFG)))
 
 
 class TestOptimalityProperties:
