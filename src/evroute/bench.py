@@ -72,10 +72,13 @@ class SolverReport:
     status: str
 
     def __post_init__(self):
-        if self.quality is not None and self.quality > 1.0 + 1e-9:
-            raise ValueError("quality cannot exceed 1")
-        if self.wall_time_ms < 0:
-            raise ValueError("wall time cannot be negative")
+        # written so that NaN fails each check
+        if self.objective is not None and not self.objective == self.objective:
+            raise ValueError("objective must be a number, got NaN")
+        if self.quality is not None and not self.quality <= 1.0 + 1e-9:
+            raise ValueError(f"quality must be a number no greater than 1, got {self.quality}")
+        if not self.wall_time_ms >= 0:
+            raise ValueError(f"wall time must be a non-negative number, got {self.wall_time_ms}")
 
 
 def quality(objective: float, reference: float, shift: float) -> float:
@@ -85,10 +88,11 @@ def quality(objective: float, reference: float, shift: float) -> float:
     :func:`quality_shift` for the instance at hand.  Equals 1 exactly when
     the objective matches the reference.
     """
-    if reference > objective + 1e-9:
-        raise ValueError("reference must not exceed the objective being scored")
-    if reference + shift <= 0 or objective + shift <= 0:
-        raise ValueError("shift fails to make both values positive")
+    # written so that NaN fails each check
+    if not reference <= objective + 1e-9:
+        raise ValueError(f"reference {reference} must be a number no greater than the objective {objective}")
+    if not (reference + shift > 0 and objective + shift > 0):
+        raise ValueError(f"shift {shift} fails to make both values positive")
     return (reference + shift) / (objective + shift)
 
 
@@ -186,12 +190,14 @@ def run_benchmark(cfg: BenchConfig) -> tuple[Path, Path]:
     :func:`~evroute.core.validate`, and the first violation raises
     :class:`~evroute.errors.EvrouteError`.
     On that, on generation or on I/O failure a marker file ``INCOMPLETE``
-    is left next to any partial results and the error is re-raised.
+    is left next to any partial results and the error is re-raised; a run
+    that completes removes the marker an earlier run left.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runs_path = out / "runs.csv"
     agg_path = out / "aggregate.csv"
+    marker = out / "INCOMPLETE"
     rows: list[tuple[SolverReport, float]] = []
     try:
         for size in cfg.sizes:
@@ -257,6 +263,7 @@ def run_benchmark(cfg: BenchConfig) -> tuple[Path, Path]:
                 mean_w = sum(r.wall_time_ms for r in group) / len(group)
                 wr.writerow([size, solver, len(group), len(scored), _fmt(mean_q), _fmt(mean_w)])
     except Exception as e:
-        (out / "INCOMPLETE").write_text(f"benchmark aborted: {e}\n", encoding="utf-8")
+        marker.write_text(f"benchmark aborted: {e}\n", encoding="utf-8")
         raise
+    marker.unlink(missing_ok=True)
     return runs_path, agg_path

@@ -242,6 +242,11 @@ class Instance:
         return tuple(0.0 if nd.charging is None else nd.charging.walk_time for nd in self.nodes)
 
     @cached_property
+    def gain_cap(self) -> tuple[float | None, ...]:
+        """Total gain of each node's charger in km, None without one."""
+        return tuple(None if nd.charging is None else nd.charging.max_gain for nd in self.nodes)
+
+    @cached_property
     def anchor_rank(self) -> dict[int, int]:
         """Fixed events and separators, in their required visit order, mapped
         to their rank: chronological by pinned arrival or latest departure,

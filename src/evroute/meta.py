@@ -605,7 +605,12 @@ def aco_select(candidates: Sequence[int], tau, eta, alpha: float, beta: float, r
     to pheromone^alpha times desirability^beta."""
     if len(candidates) == 0:
         raise ValueError("empty candidate set")
-    weights = [(t ** alpha) * (e ** beta) for t, e in zip(tau, eta)]
+    return _draw(candidates, [(t ** alpha) * (e ** beta) for t, e in zip(tau, eta)], rng)
+
+
+def _draw(candidates: Sequence[int], weights: Sequence[float], rng) -> int:
+    """Sample a candidate with probability proportional to its weight: the
+    draw behind :func:`aco_select` and every ant step."""
     total = sum(weights)
     r = float(rng.random()) * total
     acc = 0.0
@@ -655,9 +660,34 @@ def _by_top(inst: Instance) -> list[tuple[float, int]]:
     return by_top
 
 
-def _construct_route(inst, anchored, by_top, tau, eta, p, rng):
+def _pass_weights(tau: list[list[float]], eta_beta: list[list[float]], alpha: float):
+    """The step weights of one colony pass, pheromone^alpha times
+    desirability^beta: ``weights(u, cands)`` lists those of the steps from
+    ``u`` to each of ``cands``.  ``tau`` holds the pass's trails and
+    ``eta_beta`` each desirability to the power beta.  Each weight is
+    computed by :func:`aco_select`'s float expression on first use and kept
+    for the rest of the pass."""
+    rows = [[None] * len(tau) for _ in tau]
+
+    def weights(u: int, cands: Sequence[int]) -> list[float]:
+        row, tau_row, eta_row = rows[u], tau[u], eta_beta[u]
+        out = []
+        for v in cands:
+            x = row[v]
+            if x is None:
+                x = row[v] = (tau_row[v] ** alpha) * eta_row[v]
+            out.append(x)
+        return out
+
+    return weights
+
+
+def _construct_route(inst, anchored, by_top, weights, rng):
     """One ant's route with its arrivals without stops, or None on a dead
     end.
+
+    ``weights`` is the colony pass's lookup from :func:`_pass_weights`; a
+    step draws among its candidates as :func:`aco_select` does.
 
     Candidates must keep the anchored total order, be reachable inside
     their own window and leave the next pending anchored node reachable;
@@ -724,16 +754,7 @@ def _construct_route(inst, anchored, by_top, tau, eta, p, rng):
             arrivals.append(a_v)
         if not cands:
             return None
-        tau_row = tau[current]
-        eta_row = eta[current]
-        chosen = aco_select(
-            cands,
-            [tau_row[v] for v in cands],
-            [eta_row[v] for v in cands],
-            p.alpha,
-            p.beta,
-            rng,
-        )
+        chosen = _draw(cands, weights(current, cands), rng)
         a_cur = arrival[chosen] = arrivals[cands.index(chosen)]
         visited[chosen] = True
         order.append(chosen)
@@ -759,8 +780,10 @@ def aco(
     of the weighted edge cost; construction steps must keep the visited
     window, the next anchored node and every unvisited window reachable,
     and ants with no admissible step abandon the route.  Completed routes
-    that assemble to no feasible schedule are discarded too.  After every
-    colony pass the pheromone matrix is evaporated and reinforced.  Raises
+    that assemble to no feasible schedule are discarded too.  Within a
+    colony pass each step's weight is computed once and shared by its ants
+    (:func:`_pass_weights`); after every pass the pheromone matrix is
+    evaporated and reinforced.  Raises
     :class:`~evroute.errors.NoSolutionFoundError` when no ant ever produces
     a feasible schedule.
     """
@@ -772,7 +795,7 @@ def aco(
     dist = inst.dist
     travel = inst.travel
     eta = 1.0 / (w.wd * dist + w.wt * travel + ETA_EPS)
-    eta = eta.tolist()
+    eta_beta = [[e ** p.beta for e in row] for row in eta.tolist()]
     tau = np.full((n, n), p.tau0, dtype=float)
     memo = _RunMemo(inst)
     by_top = _by_top(inst)
@@ -781,10 +804,10 @@ def aco(
     # a route that fails as None
     best: Schedule | None = None
     for it in range(p.iterations):
-        tau_rows = tau.tolist()
+        weights = _pass_weights(tau.tolist(), eta_beta, p.alpha)
         solutions = []
         for _ in range(p.ants):
-            route = _construct_route(inst, anchored, by_top, tau_rows, eta, p, rng)
+            route = _construct_route(inst, anchored, by_top, weights, rng)
             if route is None:
                 continue
             order, arrival = route

@@ -112,7 +112,7 @@ def _range_pass(
     reference's, when that one lies at or before ``lo`` or not before the
     stop.  The result equals a full pass bit for bit.
     """
-    nodes = inst.nodes
+    gain_cap = inst.gain_cap
     dist = inst.dist_rows
     k_max = inst.k_max
     floor = inst.k_min - RANGE_TOL
@@ -134,11 +134,22 @@ def _range_pass(
         deficit = None
         if ahead <= lo:  # among the unchanged ranges
             deficit = later
-    option = nodes[u].charging
-    gains[u] = max(0.0, min(option.max_gain, k_max - cur)) if charge[u] and option is not None else 0.0
+    # The comparisons below pick the operand that max(0.0, min(cap, k_max -
+    # cur)) and min(cur + gain, k_max) pick, NaN and signed zero included,
+    # without a builtin call in the hot loop.
+    gains[u] = 0.0
+    cap = gain_cap[u]
+    if charge[u] and cap is not None:
+        g = k_max - cur
+        if not g < cap:
+            g = cap
+        gains[u] = g if 0.0 < g else 0.0
     for q in range(lo + 1, len(order)):
         v = order[q]
-        cur = min(cur + gains[u], k_max) - dist[u][v]
+        cur += gains[u]
+        if k_max < cur:
+            cur = k_max
+        cur -= dist[u][v]
         if cur == k[v] and (deficit is not None or q <= ahead):
             if deficit is None:
                 deficit = later
@@ -147,9 +158,12 @@ def _range_pass(
         if deficit is None and cur < floor:
             deficit = v
         if charge[v]:
-            option = nodes[v].charging
-            if option is not None:
-                gains[v] = max(0.0, min(option.max_gain, k_max - cur))
+            cap = gain_cap[v]
+            if cap is not None:
+                g = k_max - cur
+                if not g < cap:
+                    g = cap
+                gains[v] = g if 0.0 < g else 0.0
         u = v
     return tuple(gains), tuple(k), deficit
 
@@ -230,7 +244,9 @@ def plan_charging(
     ranges, from the flipped stop's position on (see :func:`_retime` and
     :func:`_range_pass`); the results equal full passes bit for bit.
     """
-    nodes = inst.nodes
+    gain_cap = inst.gain_cap
+    walk = inst.walk
+    k_max = inst.k_max
     charge = [0] * inst.n
     if arrival is None:
         arrival = propagate_times(order, charge, inst)
@@ -245,13 +261,15 @@ def plan_charging(
         None.  Stops rank by achievable gain per minute of walking."""
         cands = []
         for u in order[:limit_pos]:
-            node = nodes[u]
-            if charge[u] or node.charging is None:
+            cap = gain_cap[u]
+            if charge[u] or cap is None:
                 continue
-            head = min(node.charging.max_gain, inst.k_max - ranges[u])
+            head = k_max - ranges[u]
+            if not head < cap:  # min(cap, head), as in _range_pass
+                head = cap
             if head <= RANGE_TOL:
                 continue
-            cands.append((-head / (2.0 * node.charging.walk_time + RANK_EPS), u))
+            cands.append((-head / (2.0 * walk[u] + RANK_EPS), u))
         cands.sort()
         for _, u in cands:
             charge[u] = 1
@@ -275,9 +293,10 @@ def plan_charging(
 
     # Drop stops the remaining set already covers; removal never tightens
     # the timetable, so only the battery needs rechecking.  The arrivals
-    # held so far still include the dropped walks.
+    # held so far still include the dropped walks.  The last stop added is
+    # not tried: without it the set is the one that had the deficit.
     dropped = False
-    for u in reversed(added):
+    for u in reversed(added[:-1]):
         charge[u] = 0
         trial = _range_pass(order, charge, inst, state, pos_of[u])
         if trial[2] is None:

@@ -6,18 +6,23 @@ scipy's solver, the grid searches enumerate alternatives directly, the
 recomputing run memory prices every order a solver asks for in full, the
 reference time-chain step, its walk along an order and the ant
 construction read node attributes and scan every node where the library
-reads its per-node timing table and open candidates, the anchored-order
-check scans a whole order where the solvers compare ranks, and the
-reference tabu search hands every move of every iteration to the run
-memory where the library keeps one scan per order.
+reads its per-node timing table and open candidates, the reference colony
+weighs each ant step from the raw trails and desirabilities where the
+library keeps each pass's weights, the anchored-order check scans a whole
+order where the solvers compare ranks, and the reference tabu search hands
+every move of every iteration to the run memory where the library keeps one
+scan per order.
 """
 
 import math
 from collections import deque
 
-from evroute import Instance, NodeKind, Schedule, TsParams, bfd_initial, meta
+import numpy as np
+
+from evroute import AcoParams, Instance, NodeKind, Schedule, TsParams, bfd_initial, meta
 from evroute.core import TIME_TOL
-from evroute.meta import _RunMemo, _admissible_moves, _moves, aco_select
+from evroute.errors import NoSolutionFoundError
+from evroute.meta import ETA_EPS, _RunMemo, _admissible_moves, _moves, aco_select, pheromone_update
 from evroute.schedule import propagate_times
 
 _GRID_MARGIN = 8  # minutes explored above each chain/window lower bound
@@ -400,6 +405,37 @@ def reference_construct_route(inst, anchored, tau, eta, p, rng):
         current = chosen
     order.append(n - 1)
     return order
+
+
+def reference_aco(inst, params=None, rng_seed=0, trace=None):
+    """``meta.aco`` with every ant built by :func:`reference_construct_route`,
+    which weighs each step from the raw trails and desirabilities, and every
+    completed route assembled in full."""
+    p = AcoParams() if params is None else params
+    w = inst.weights
+    rng = np.random.default_rng(rng_seed)
+    anchored = meta.anchored_sequence(inst)
+    eta = (1.0 / (w.wd * inst.dist + w.wt * inst.travel + ETA_EPS)).tolist()
+    tau = np.full((inst.n, inst.n), p.tau0, dtype=float)
+    best = None
+    for it in range(p.iterations):
+        tau_rows = tau.tolist()
+        solutions = []
+        for _ in range(p.ants):
+            order = reference_construct_route(inst, anchored, tau_rows, eta, p, rng)
+            sched = None if order is None else meta.assemble_schedule(order, inst)
+            if sched is not None:
+                solutions.append(sched)
+        for s in solutions:
+            if best is None or s.objective < best.objective:
+                best = s
+        tau = pheromone_update(tau, solutions, best, p.rho, w)
+        if trace is not None:
+            trace.note_best(math.inf if best is None else best.objective)
+            trace.record("colony", iteration=it, feasible_ants=len(solutions))
+    if best is None:
+        raise NoSolutionFoundError("every ant route was infeasible in every iteration")
+    return best
 
 
 def route_distance(s: Schedule, inst: Instance) -> float:

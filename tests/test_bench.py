@@ -18,6 +18,8 @@ from evroute import (
     validate,
 )
 from evroute import bench
+from evroute.core import ConstraintId, Violation
+from evroute.errors import EvrouteError
 
 from conftest import no_start_instance
 
@@ -37,6 +39,11 @@ class TestQuality:
     def test_shift_must_make_positive(self):
         with pytest.raises(ValueError):
             quality(-5.0, -5.0, 1.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 0.5, 1.0), (1.0, math.nan, 1.0), (1.0, 0.5, math.nan)])
+    def test_nan_rejected(self, args):
+        with pytest.raises(ValueError):
+            quality(*args)
 
     def test_oracle_backed_qualities_bounded(self):
         from evroute import oracle, tabu_search, TsParams
@@ -104,6 +111,11 @@ class TestSolverReport:
         with pytest.raises(ValueError):
             SolverReport("ts", 0, 4, 1.0, 1.0, -1.0, "feasible")
 
+    @pytest.mark.parametrize("obj, q, wall_ms", [(math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)])
+    def test_nan_rejected(self, obj, q, wall_ms):
+        with pytest.raises(ValueError):
+            SolverReport("ts", 0, 4, obj, q, wall_ms, "feasible")
+
 
 class TestRunBenchmark:
     def test_empty_solver_set_writes_header_only(self, tmp_path):
@@ -146,6 +158,20 @@ class TestRunBenchmark:
         with pytest.raises(Exception):
             run_benchmark(cfg)
         assert (tmp_path / "INCOMPLETE").exists()
+
+    def test_completed_rerun_removes_the_marker(self, tmp_path, monkeypatch):
+        # a run aborted by a failing validation leaves the marker; a rerun
+        # into the same directory that completes removes it
+        cfg = BenchConfig(out_dir=str(tmp_path), seeds=(0,), solvers=("ts",), sizes=(3,))
+        violation = Violation(ConstraintId.OBJECTIVE, "route", "forced", 1.0)
+        with monkeypatch.context() as m:
+            m.setattr(bench, "validate", lambda sched, inst: [violation])
+            with pytest.raises(EvrouteError, match="fails validation"):
+                run_benchmark(cfg)
+        assert (tmp_path / "INCOMPLETE").exists()
+        runs, _ = run_benchmark(cfg)
+        assert not (tmp_path / "INCOMPLETE").exists()
+        assert [r["status"] for r in csv.DictReader(runs.open())] == ["feasible"]
 
     def test_default_protocol_values(self):
         cfg = BenchConfig(out_dir="x")

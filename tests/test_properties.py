@@ -43,7 +43,7 @@ from evroute import (
     validate,
 )
 from evroute import meta
-from evroute.core import TIME_TOL, objective_floor
+from evroute.core import RANGE_TOL, TIME_TOL, Weights, objective_floor
 from evroute.errors import GenerationFailedError, NoInitialSolutionError, NoSolutionFoundError
 from evroute.meta import (
     ETA_EPS,
@@ -52,6 +52,7 @@ from evroute.meta import (
     _by_top,
     _construct_route,
     _moves,
+    _pass_weights,
     _valid_positions,
 )
 from evroute.schedule import _range_pass, _retime, _time_step
@@ -60,6 +61,7 @@ from helpers import (
     RecomputingMemo,
     _reference_gains,
     _reference_ranges,
+    reference_aco,
     reference_assemble,
     reference_construct_route,
     reference_propagate_times,
@@ -415,12 +417,18 @@ def range_cases(draw):
 def test_resuming_the_range_pass_at_a_flipped_flag_equals_the_full_pass(case):
     # every position, so each flag goes on or off before, at and after the
     # first deficit, the start and end nodes included
-    inst, order, charge = case
+    _assert_range_passes_equal_the_reference(*case)
+
+
+def _assert_range_passes_equal_the_reference(inst, order, charge):
+    """A full pass under ``charge``, and full and resumed passes with each
+    position's flag flipped, equal the reference chain."""
     ref = _range_pass(order, charge, inst)
+    # repr compares every float bit for bit, the sign of zero and NaN included
+    assert repr(ref) == repr(_reference_range_pass(order, charge, inst))
     for p, u in enumerate(order):
         flipped = list(charge)
         flipped[u] = 1 - flipped[u]
-        # repr compares every float bit for bit, NaN included
         want = repr(_reference_range_pass(order, flipped, inst))
         assert repr(_range_pass(order, flipped, inst)) == want
         assert repr(_range_pass(order, flipped, inst, ref, p)) == want, p
@@ -437,6 +445,63 @@ def test_a_chain_of_resumed_range_passes_equals_the_full_pass(case, data):
         charge[order[p]] = 1 - charge[order[p]]
         state = _range_pass(order, charge, inst, state, p)
         assert repr(state) == repr(_reference_range_pass(order, charge, inst)), p
+
+
+@st.composite
+def tie_cases(draw):
+    """A one-day instance on whole kilometres and minutes with wide windows,
+    a full order of it and drawn charge flags (the end node's included).
+
+    Small whole numbers make the range chain meet its ties: a charge that
+    fills the battery exactly (range plus gain equal to ``k_max``), a
+    headroom equal to a charger's total gain, and zero headroom or zero
+    gain.  Chargers' total gains are also drawn as ``-0.0`` and as
+    ``RANGE_TOL``, the stop ranking's threshold; ``k_max`` and ``k_start``
+    as ``-0.0``; and an edge of the order sometimes gets a NaN distance.
+    The end-of-route charge sometimes carries weight, so that assembly runs
+    its end-charge loop.
+    """
+    n = draw(st.integers(3, 8))
+    k_max = draw(st.sampled_from([-0.0, 0.0, 3.0, 5.0, 8.0]))
+    k_min = float(draw(st.integers(0, int(k_max))))
+    k_start = float(draw(st.integers(int(k_min), int(k_max))))
+    if k_start == 0.0 and draw(st.booleans()):
+        k_start = -0.0
+    caps = st.sampled_from([None, None, 0.0, -0.0, RANGE_TOL, 1.0, 2.0, 3.0, 5.0])
+    nodes = []
+    for u in range(n):
+        kind = NodeKind.START if u == 0 else NodeKind.END if u == n - 1 else NodeKind.FLEXIBLE
+        cap = None if u == n - 1 else draw(caps)
+        charging = None if cap is None else ChargingOption(float(draw(st.integers(0, 2))), 1.0, cap)
+        duration = 0.0 if u in (0, n - 1) else float(draw(st.integers(0, 3)))
+        nodes.append(EventNode(u, kind, 0.0, 1000.0, duration, charging=charging))
+    matrix = st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+    dist, travel = (np.array(draw(matrix), dtype=float) for _ in range(2))
+    np.fill_diagonal(dist, 0.0)
+    np.fill_diagonal(travel, 0.0)
+    weights = Weights(1.0, 0.0, draw(st.sampled_from([0.0, 1.0])))
+    inst = Instance(tuple(nodes), dist, travel, k_min, k_max, k_start, weights=weights)
+    order = draw(orders(inst, keep_anchor_order=False))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 2))
+        dist[order[k], order[k + 1]] = math.nan
+        inst = replace(inst, dist=dist)
+    charge = draw(st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n))
+    return inst, order, charge
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(tie_cases())
+def test_range_chain_ties_equal_the_reference(case):
+    # The range pass picks min's and max's operands by comparisons; on ties,
+    # signed zeros and NaN it must pick the same ones, in full and resumed
+    # passes and in the assemblies that chain them.  (Where it compares the
+    # headroom with a charger's total gain, a tie holds the same float or
+    # zeros of either sign, which the clamp at zero makes alike: there the
+    # tie may go either way.)
+    inst, order, charge = case
+    _assert_range_passes_equal_the_reference(inst, order, charge)
+    assert repr(assemble_schedule(order, inst)) == repr(reference_assemble(order, inst))
 
 
 @st.composite
@@ -719,8 +784,11 @@ def test_ant_construction_equals_the_full_scan(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     memo = _RunMemo(inst)
+    # one colony pass's weights, as aco builds them; the reference weighs
+    # each step from the raw trails and desirabilities
+    weights = _pass_weights(tau, [[e ** p.beta for e in row] for row in eta], p.alpha)
     for _ in range(8):
-        route = _construct_route(inst, anchored, by_top, tau, eta, p, rng)
+        route = _construct_route(inst, anchored, by_top, weights, rng)
         want = reference_construct_route(inst, anchored, tau, eta, p, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert (route is None) == (want is None)
@@ -732,6 +800,34 @@ def test_ant_construction_equals_the_full_scan(data):
         last = len(order) - 1
         got = memo.assemble(order, arrival, last, last + 1, math.inf)
         assert repr(got) == repr(assemble_schedule(order, inst))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(st.data())
+def test_colony_equals_the_run_that_weighs_each_step_from_the_trails(data):
+    # three or more colony passes, so that each pass's weights must follow
+    # the trails the pass before it laid; alpha and beta are drawn, so that
+    # the powers are not the defaults' exact ones
+    inst = data.draw(st.one_of(instances(max_nodes=12), multiday_instances()))
+    params = AcoParams(
+        alpha=data.draw(st.sampled_from([1.0, 0.5, 2.0])),
+        beta=data.draw(st.sampled_from([2.0, 1.0, 3.5])),
+        rho=data.draw(st.sampled_from([0.01, 0.3])),
+        ants=data.draw(st.integers(2, 6)),
+        iterations=data.draw(st.integers(3, 5)),
+    )
+    rng_seed = data.draw(st.integers(0, 2**32 - 1))
+    trace, ref_trace = SearchTrace(), SearchTrace()
+    try:
+        got = aco(inst, params=params, rng_seed=rng_seed, trace=trace)
+    except NoSolutionFoundError:
+        with pytest.raises(NoSolutionFoundError):
+            reference_aco(inst, params=params, rng_seed=rng_seed)
+        return
+    # repr compares every float bit for bit
+    assert repr(got) == repr(reference_aco(inst, params=params, rng_seed=rng_seed, trace=ref_trace))
+    assert trace.best == ref_trace.best
+    assert trace.events == ref_trace.events
 
 
 @settings(PROPERTY_SETTINGS, max_examples=20)
