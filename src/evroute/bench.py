@@ -8,6 +8,7 @@ solver times out) and writes per-run and aggregate CSV reports.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,8 +76,8 @@ class SolverReport:
         # written so that NaN fails each check
         if self.objective is not None and not self.objective == self.objective:
             raise ValueError("objective must be a number, got NaN")
-        if self.quality is not None and not self.quality <= 1.0 + 1e-9:
-            raise ValueError(f"quality must be a number no greater than 1, got {self.quality}")
+        if self.quality is not None and not 0.0 < self.quality <= 1.0 + 1e-9:
+            raise ValueError(f"quality must be a number in (0, 1], got {self.quality}")
         if not self.wall_time_ms >= 0:
             raise ValueError(f"wall time must be a non-negative number, got {self.wall_time_ms}")
 
@@ -89,6 +90,8 @@ def quality(objective: float, reference: float, shift: float) -> float:
     the objective matches the reference.
     """
     # written so that NaN fails each check
+    if not all(-math.inf < x < math.inf for x in (objective, reference, shift)):
+        raise ValueError(f"objective {objective}, reference {reference} and shift {shift} must be finite")
     if not reference <= objective + 1e-9:
         raise ValueError(f"reference {reference} must be a number no greater than the objective {objective}")
     if not (reference + shift > 0 and objective + shift > 0):

@@ -428,27 +428,29 @@ def objective_value(
     )
 
 
-def objective_floor(order: Sequence[int], arrival: Sequence[float], inst: Instance) -> float:
-    """A lower bound on the objective of any schedule of ``order``.
+def objective_floor(order: Sequence[int], arrival: Sequence[float], k_end: float, inst: Instance) -> float:
+    """A lower bound on the objective of any schedule of ``order`` whose end
+    range is at most ``k_end``.
 
     ``arrival`` holds the order's arrivals without stops.  Charging walks
     never make a departure or a separator arrival earlier, so the day
-    lengths cannot shrink; the end range is at most ``k_max``, the stop
-    count at least 0 and the route start at least its earliest under the
-    start node's walk.  The summands are added in the order
-    :func:`objective_value` adds them, and rounding is monotone, so the
-    floor holds in floating point too.
+    lengths cannot shrink; the stop count is at least 0 and the route start
+    at least its earliest under the start node's walk.  ``inst.k_max``
+    bounds every end range; tabu search passes the tighter end range of the
+    order's chain with every charger on, plus ``RANGE_TOL`` for rounding.
+    The summands are added in the order :func:`objective_value` adds them,
+    and rounding is monotone, so the floor holds in floating point too.
     """
     total_d, days = _route_sums(order, arrival, inst)
-    return _floor(total_d, days, _route_start(inst, inst.walk[0])[0], inst)
+    return _floor(total_d, days, _route_start(inst, inst.walk[0])[0], k_end, inst)
 
 
-def _floor(total_d: float, days: float, a0_min: float, inst: Instance) -> float:
-    """The objective with a full battery at the end and no stops, for the
+def _floor(total_d: float, days: float, a0_min: float, k_end: float, inst: Instance) -> float:
+    """The objective with the end range ``k_end`` and no stops, for the
     distance ``total_d``, the day lengths ``days`` and the route start
     ``a0_min``: :func:`objective_floor` and the exact search's bound."""
     w = inst.weights
-    return w.wd * total_d + w.wt * days - w.wc * inst.k_max + inst.epsilon * a0_min
+    return w.wd * total_d + w.wt * days - w.wc * k_end + inst.epsilon * a0_min
 
 
 def evaluate_objective(s: Schedule, inst: Instance) -> float:

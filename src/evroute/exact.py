@@ -139,7 +139,8 @@ class _Search:
     infeasibility of the partial order and on an optimistic objective bound
     against the incumbent: the objective floor (:func:`~evroute.core._floor`)
     of the exact distance so far plus a shortest exit from every node still
-    to leave, the day lengths seen so far and the earliest route start.
+    to leave, the day lengths seen so far, the earliest route start and a
+    full battery at the end.
     """
 
     def __init__(self, inst: Instance, deadline: float | None, price):
@@ -187,6 +188,7 @@ class _Search:
         a0 = _route_start(inst, 0.0)[0]
         # the earliest start over both charging choices at the start node
         a0_floor = _route_start(inst, inst.walk[0])[0]
+        k_max = inst.k_max
         removed = sorted(removed)
         placed_removed = [False] * n
         path = [0]
@@ -215,7 +217,7 @@ class _Search:
                 if v in day_ref:
                     ref = day_ref[v]
                     sep_v = sep_sum + (a_v - (a0 if ref is None else ref))
-                floor = _floor(dist_v + remaining_after, sep_v, a0_floor, inst)
+                floor = _floor(dist_v + remaining_after, sep_v, a0_floor, k_max, inst)
                 if floor >= self.best_obj - _BOUND_TOL:
                     continue
                 path.append(v)

@@ -24,6 +24,7 @@ from .core import (
     DAY_END,
     Instance,
     NodeKind,
+    RANGE_TOL,
     Schedule,
     TIME_TOL,
     Weights,
@@ -34,6 +35,7 @@ from .core import (
 from .errors import NoSolutionFoundError
 from .exact import solve_completion
 from .schedule import (
+    _range_pass,
     _retime,
     _time_step,
     anchored_sequence,
@@ -203,12 +205,9 @@ class _RunMemo:
     removed)``, to its result.  Tabu search cycles, ants retrace routes and
     random repairs redraw orders, so a revisit then costs one lookup instead
     of a timing and an assembly (Woodruff and Zemel, "Hashing vectors for
-    tabu search", 1993).  An order screened out by its objective floor is
-    held apart with its arrivals without stops and its floor, so that a
-    revisit costs one lookup too, and a later, higher ceiling assembles it
-    from them.  Each solver call makes its own and drops it on return, so no
-    state outlives the call.  The best-fit-decreasing start the solvers seed
-    from is not held here: it lives on the instance
+    tabu search", 1993).  Each solver call makes its own and drops it on
+    return, so no state outlives the call.  The best-fit-decreasing start
+    the solvers seed from is not held here: it lives on the instance
     (:attr:`~evroute.core.Instance.bfd_start`), since it depends on the
     instance alone.
     """
@@ -216,45 +215,26 @@ class _RunMemo:
     def __init__(self, inst: Instance):
         self.inst = inst
         self._seen: dict[tuple, Schedule | None] = {}
-        self._screened: dict[tuple[int, ...], tuple[Sequence[float], float]] = {}
         self._zeros = [0] * inst.n
 
-    def assemble(
-        self, order: Sequence[int], arrival: Sequence[float] | None, lo: int, hi: int, ceiling: float
-    ) -> Schedule | None:
-        """The order's schedule, assembled on its first request whose
-        ``ceiling`` admits it.
+    def assemble(self, order: Sequence[int], arrival: Sequence[float] | None, lo: int, hi: int) -> Schedule | None:
+        """The order's schedule, assembled on its first request.
 
         ``arrival`` holds the arrivals without stops of a reference order
         that differs from ``order`` only in positions ``lo`` to ``hi - 1``,
-        or None to time ``order`` in full.  A new order is first re-timed
-        from ``lo`` (:func:`~evroute.schedule._retime`); one that fails is
-        remembered as None without an assembly.  An order whose objective
-        floor (:func:`~evroute.core.objective_floor`) lies strictly above
-        ``ceiling`` cannot price at or below it: it comes back None,
-        unassembled, and is held for a later request.  Every floor passes
-        an infinite ceiling, so none is computed for one.
+        or None to time ``order`` in full; ``lo`` equal to the order's
+        length makes ``arrival`` the order's own.  A new order is first
+        re-timed from ``lo`` (:func:`~evroute.schedule._retime`); one that
+        fails is remembered as None without an assembly.
         """
         key = tuple(order)
         seen = self._seen
         sched = seen.get(key, _UNSEEN)  # one hash of the key on a revisit
         if sched is not _UNSEEN:
             return sched
-        screened = self._screened
-        held = screened.get(key)
-        if held is None:
+        if arrival is None or lo < len(key):
             arrival = _retime(key, self._zeros, arrival, lo, hi, self.inst)
-            if arrival is None:
-                seen[key] = None
-                return None
-            if ceiling < math.inf:
-                held = screened[key] = (arrival, objective_floor(key, arrival, self.inst))
-        if held is not None:
-            if held[1] > ceiling:
-                return None
-            del screened[key]
-            arrival = held[0]
-        sched = seen[key] = assemble_schedule(key, self.inst, arrival=arrival)
+        sched = seen[key] = None if arrival is None else assemble_schedule(key, self.inst, arrival=arrival)
         return sched
 
     def repair(self, key: tuple, compute: Callable[[], Schedule | None]) -> Schedule | None:
@@ -305,23 +285,77 @@ def _admissible_moves(order: Sequence[int], rank: dict[int, int], moves: Sequenc
     ]))
 
 
-def _scan(order: tuple[int, ...], inst: Instance, moves: Sequence[tuple]) -> tuple[Sequence[float], list]:
+class _Candidate:
+    """An order tabu search has timed without stops, shared by every scan
+    that meets it.  ``key`` ranks it: its objective floor until it is
+    assembled, its objective after, ``-inf`` for a NaN one, so that it comes
+    first, and ``inf`` once it has failed to assemble.  ``arrival`` holds its
+    arrivals without stops until it is assembled, ``sched`` its schedule
+    after."""
+
+    __slots__ = ("key", "order", "arrival", "sched")
+
+    def __init__(self, floor: float, order: tuple[int, ...], arrival: Sequence[float]):
+        self.key = floor if floor == floor else -math.inf
+        self.order = order
+        self.arrival: Sequence[float] | None = arrival
+        self.sched: Schedule | None = None
+
+    def settle(self, sched: Schedule | None) -> None:
+        """Keep the candidate's assembly: its schedule, or None."""
+        self.arrival, self.sched = None, sched
+        obj = math.inf if sched is None else sched.objective
+        self.key = obj if obj == obj else -math.inf
+
+
+def _scan(
+    order: tuple[int, ...], inst: Instance, moves: Sequence[tuple], met: dict[tuple[int, ...], _Candidate | None]
+) -> list[list]:
     """The neighbourhood of ``order``, a time-feasible order that keeps the
-    anchored order, as tabu search walks it: the order's arrivals without
-    stops, and ``(move, candidate, lo, hi)`` in move order for each move of
-    ``moves`` (from :func:`_moves`) that keeps the anchored order and makes
-    no pair adjacent that :attr:`~evroute.core.Instance.follows` rejects.
-    The order's own pairs all pass, so a candidate that passes has only
-    passing pairs; one that fails cannot be timed without stops."""
+    anchored order, ranked as tabu search walks it.
+
+    Each move of ``moves`` (from :func:`_moves`) that keeps the anchored
+    order and makes no pair adjacent that
+    :attr:`~evroute.core.Instance.follows` rejects gives a candidate; the
+    order's own pairs all pass, so a candidate that passes has only passing
+    pairs, and one that fails cannot be timed without stops.  ``met`` maps
+    every candidate timed so far to its :class:`_Candidate`, or to None when
+    its timing failed.  A new one is re-timed over its move's span from the
+    order's arrivals, and its floor (:func:`~evroute.core.objective_floor`)
+    takes the end range of its range chain with every charger on, plus
+    ``RANGE_TOL`` for rounding.  No charge set ends higher: a charge never
+    lowers a range, and a higher range never charges to a lower one.  That
+    chain is resumed from the order's own over the span
+    (:func:`~evroute.schedule._range_pass`).  Returns ``[key, index,
+    candidate, move]`` for each time-feasible candidate, ``index`` counting
+    them in move order, sorted.
+    """
+    n = inst.n
+    zeros = [0] * n
+    ones = [1] * n
     follows = inst.follows
-    cands = []
+    arrival = propagate_times(order, zeros, inst)
+    charged = _range_pass(order, ones, inst)
+    ranked = []
     for move, lo, hi, pairs in _admissible_moves(order, inst.anchor_rank, moves):
         for a, b in pairs:
             if not follows[order[a]][order[b]]:
                 break
         else:
-            cands.append((move, move.apply(order), lo, hi))
-    return propagate_times(order, [0] * inst.n, inst), cands
+            moved = move.apply(order)
+            cand = met.get(moved, _UNSEEN)
+            if cand is _UNSEEN:
+                timed = _retime(moved, zeros, arrival, lo, hi, inst)
+                if timed is None:
+                    cand = None
+                else:
+                    k_end = _range_pass(moved, ones, inst, charged, lo - 1, hi)[1][n - 1] + RANGE_TOL
+                    cand = _Candidate(objective_floor(moved, timed, k_end, inst), moved, timed)
+                met[moved] = cand
+            if cand is not None:
+                ranked.append([cand.key, len(ranked), cand, move])
+    ranked.sort()
+    return ranked
 
 
 def tabu_search(
@@ -334,19 +368,23 @@ def tabu_search(
 
     Each iteration evaluates every move that keeps fixed events and
     separators in order, takes the best non-tabu feasible candidate (a tabu
-    one only under aspiration, when it beats the best so far) and makes the
-    move's inverse tabu.  Within an iteration, a candidate whose objective
-    floor lies above the best choice so far is screened out before the
-    charging planner (Glover and Laguna, *Tabu Search*, 1997, candidate
-    lists); it could not have been chosen, so the search is unchanged.
-    Each order the search stands on is scanned once (:func:`_scan`), and a
-    later visit walks the candidates that scan kept, less those the run
-    memory has since found infeasible: the moves skipped either way could
-    never be chosen.  The search starts from the instance's
-    best-fit-decreasing start (:func:`~evroute.schedule.bfd_initial`),
-    built on the first request and shared with every later solver call on
-    the same instance object.  The search is deterministic; ``rng_seed`` is
-    accepted for interface symmetry only.
+    one only under aspiration, when it beats the best so far), the first in
+    move order among equals, and makes the move's inverse tabu.  Each order
+    the search stands on is scanned once (:func:`_scan`), which times its
+    candidates and ranks them by objective floor.  An iteration assembles
+    them best first and stops at the first floor strictly above its best
+    candidate so far; it assembles a tabu move only if aspiration could
+    admit it (Glover and Laguna, *Tabu Search*, 1997, candidate lists).  An
+    assembled candidate ranks by its objective from then on, in every scan
+    that holds it.  None of this changes the search.  A walk in move order
+    keeps its first feasible candidate when that one's objective is NaN;
+    NaN floors go exactly with NaN objectives, so they rank first, and once
+    one is admitted the iteration assembles every candidate to learn which
+    came first.  The search starts from the instance's best-fit-decreasing
+    start (:func:`~evroute.schedule.bfd_initial`), built on the first
+    request and shared with every later solver call on the same instance
+    object.  The search is deterministic; ``rng_seed`` is accepted for
+    interface symmetry only.
     """
     del rng_seed  # exhaustive neighborhood, nothing stochastic
     p = TsParams() if params is None else params
@@ -359,41 +397,56 @@ def tabu_search(
         "swap": deque(maxlen=len_swap),
         "insert": deque(maxlen=len_insert),
     }
-    memo = _RunMemo(inst)
-    assemble = memo.assemble
-    settled = memo._seen
-    moves = _moves(len(current.order))
-    # the scan of each order the search has stood on; it cycles through few
-    # of them
-    scans: dict[tuple[int, ...], tuple[Sequence[float], list]] = {}
+    assemble = _RunMemo(inst).assemble
+    size = len(current.order)
+    moves = _moves(size)
+    met: dict[tuple[int, ...], _Candidate | None] = {}
+    # the ranked scan of each order the search has stood on; it cycles
+    # through few of them
+    scans: dict[tuple[int, ...], list[list]] = {}
     for _ in range(p.iterations):
-        chosen: tuple[Move, Schedule, bool] | None = None
         # current.order keeps the anchored order: BFD built it, or it passed
         # the scan
-        arrival, cands = scans.get(current.order) or _scan(current.order, inst, moves)
-        kept = []
-        for cand in cands:
-            move, order, lo, hi = cand
-            # only a strictly lower objective replaces the choice, so a
-            # candidate whose floor lies above it need not be assembled
-            ceiling = math.inf if chosen is None else chosen[1].objective
-            # a move changes only its span, so each candidate is re-timed
-            # from the current order's arrivals
-            sched = assemble(order, arrival, lo, hi, ceiling)
-            if sched is None:
-                if order not in settled:  # held by its floor, not infeasible
-                    kept.append(cand)
-                continue
-            kept.append(cand)
+        ranked = scans.get(current.order)
+        if ranked is None:
+            ranked = scans[current.order] = _scan(current.order, inst, moves, met)
+        else:  # rank again by the keys assembly has raised since
+            for entry in ranked:
+                entry[0] = entry[2].key
+            ranked.sort()
+        # (objective, index, move, schedule, tabu) of the admitted candidate
+        # with the lowest finite objective, and of the one first in move
+        # order among those with a NaN objective; the lowest index admitted
+        chosen = first = None
+        lowest = len(ranked)
+        for key, index, cand, move in ranked:
+            if first is None and chosen is not None and key > chosen[0]:
+                break
             is_tabu = move in tabu[move.kind]
-            if is_tabu and not (p.aspiration and sched.objective < best.objective):
+            # a floor at or above the best so far rules aspiration out
+            if is_tabu and not (p.aspiration and key < best.objective):
                 continue
-            if chosen is None or sched.objective < chosen[1].objective:
-                chosen = (move, sched, is_tabu)
-        scans[current.order] = (arrival, kept)
+            if cand.arrival is not None:
+                # the candidate's own arrivals: nothing to re-time
+                cand.settle(assemble(cand.order, cand.arrival, size, size))
+            sched = cand.sched
+            if sched is None:
+                continue
+            obj = sched.objective
+            if is_tabu and not (p.aspiration and obj < best.objective):
+                continue
+            if index < lowest:
+                lowest = index
+            if obj != obj:
+                if first is None or index < first[1]:
+                    first = (obj, index, move, sched, is_tabu)
+            elif chosen is None or obj < chosen[0] or obj == chosen[0] and index < chosen[1]:
+                chosen = (obj, index, move, sched, is_tabu)
+        if first is not None and first[1] == lowest:
+            chosen = first
         if chosen is None:
             break
-        move, sched, was_tabu = chosen
+        _, _, move, sched, was_tabu = chosen
         tabu[move.kind].append(move.inverse())
         current = sched
         if current.objective < best.objective:
@@ -451,7 +504,7 @@ def _repair_random(memo, base, removed, rng):
             order.insert(positions[int(rng.integers(0, len(positions)))], int(m))
         if not all(follows[u][v] for u, v in zip(order, order[1:])):
             continue
-        sched = memo.assemble(order, None, 0, len(order), math.inf)
+        sched = memo.assemble(order, None, 0, len(order))
         if sched is not None:
             return sched
     return None
@@ -494,7 +547,7 @@ def _repair_constructive(memo, base, removed):
         if not placed:
             return None
     # arrival already times the finished order: it is its own reference
-    return memo.assemble(order, arrival, len(order), len(order), math.inf)
+    return memo.assemble(order, arrival, len(order), len(order))
 
 
 def _probabilities(ops, op_weights) -> list[float]:
@@ -812,7 +865,7 @@ def aco(
                 continue
             order, arrival = route
             last = len(order) - 1
-            sched = memo.assemble(order, arrival, last, last + 1, math.inf)
+            sched = memo.assemble(order, arrival, last, last + 1)
             if sched is not None:
                 solutions.append(sched)
         for s in solutions:

@@ -95,6 +95,7 @@ def _range_pass(
     inst: Instance,
     ref: tuple[tuple[float, ...], tuple[float, ...], int | None] | None = None,
     lo: int = 0,
+    hi: int | None = None,
 ) -> tuple[tuple[float, ...], tuple[float, ...], int | None]:
     """One walk of the range chain: gains, arrival ranges and first deficit.
 
@@ -103,14 +104,16 @@ def _range_pass(
     applied before departure and capped at the battery maximum, and each
     edge then consumes its distance.
 
-    ``ref``, when given, is this function's result for ``order`` under
-    flags that differ from ``charge`` only at position ``lo``.  The ranges
-    up to ``lo`` are then unchanged, so the walk starts there, as
-    :func:`_retime` does.  After ``lo`` it stops at the first range equal to
-    its old one, since every later step then has the same inputs as before,
-    once the first deficit is known: found by this walk, or the
-    reference's, when that one lies at or before ``lo`` or not before the
-    stop.  The result equals a full pass bit for bit.
+    ``ref``, when given, is this function's result for an order under flags
+    that agree with ``order`` and ``charge``, node for node, up to position
+    ``lo``, the flag at ``lo`` aside, and from position ``hi`` on (``lo +
+    1`` when None: a flipped flag; a reordered span ``s`` to ``t - 1``
+    passes ``(s - 1, t)``).  The ranges up to ``lo`` are then unchanged, so
+    the walk starts there, as :func:`_retime` does.  From ``hi`` on it stops
+    at the first range equal to its old one, since every later step then has
+    the same inputs as before, once the first deficit is known: found by
+    this walk, or the reference's, when that one lies at or before ``lo`` or
+    not before the stop.  The result equals a full pass bit for bit.
     """
     gain_cap = inst.gain_cap
     dist = inst.dist_rows
@@ -124,6 +127,8 @@ def _range_pass(
         cur = k[u] = inst.k_start
         deficit = u if cur < floor else None
     else:
+        if hi is None:
+            hi = lo + 1
         gains, k = list(ref[0]), list(ref[1])
         u = order[lo]
         cur = k[u]
@@ -150,7 +155,7 @@ def _range_pass(
         if k_max < cur:
             cur = k_max
         cur -= dist[u][v]
-        if cur == k[v] and (deficit is not None or q <= ahead):
+        if cur == k[v] and q >= hi and (deficit is not None or q <= ahead):
             if deficit is None:
                 deficit = later
             break

@@ -9,9 +9,9 @@ construction read node attributes and scan every node where the library
 reads its per-node timing table and open candidates, the reference colony
 weighs each ant step from the raw trails and desirabilities where the
 library keeps each pass's weights, the anchored-order check scans a whole
-order where the solvers compare ranks, and the reference tabu search hands
-every move of every iteration to the run memory where the library keeps one
-scan per order.
+order where the solvers compare ranks, and the reference tabu search times
+every move of every iteration in full and assembles in move order where the
+library ranks one scan per order by objective floor.
 """
 
 import math
@@ -20,7 +20,7 @@ from collections import deque
 import numpy as np
 
 from evroute import AcoParams, Instance, NodeKind, Schedule, TsParams, bfd_initial, meta
-from evroute.core import TIME_TOL
+from evroute.core import TIME_TOL, objective_floor
 from evroute.errors import NoSolutionFoundError
 from evroute.meta import ETA_EPS, _RunMemo, _admissible_moves, _moves, aco_select, pheromone_update
 from evroute.schedule import propagate_times
@@ -478,10 +478,12 @@ def respects_anchor_order(order, inst):
 
 
 def reference_tabu_search(inst, params=None, trace=None):
-    """``meta.tabu_search`` as it searched before it kept one scan per
-    order: each iteration applies every move of the current order that
-    keeps the anchored order and hands the result to the run memory, in
-    move order, with no pairwise follow table in front."""
+    """``meta.tabu_search`` as it searched before it kept one ranked scan
+    per order: each iteration times every move of the current order that
+    keeps the anchored order in full, in move order, with no pairwise follow
+    table in front, and assembles each time-feasible candidate it has not
+    assembled before unless its objective floor with a full battery at the
+    end lies above the best candidate so far."""
     p = TsParams() if params is None else params
     current = bfd_initial(inst)
     best = current
@@ -489,15 +491,20 @@ def reference_tabu_search(inst, params=None, trace=None):
     len_swap = half_n if p.tabu_len_swap is None else p.tabu_len_swap
     len_insert = half_n if p.tabu_len_insert is None else p.tabu_len_insert
     tabu = {"swap": deque(maxlen=len_swap), "insert": deque(maxlen=len_insert)}
-    memo = _RunMemo(inst)
+    seen = {}  # order -> schedule, or None when infeasible
     moves = _moves(len(current.order))
     zeros = [0] * inst.n
     for _ in range(p.iterations):
         chosen = None
-        arrival = propagate_times(current.order, zeros, inst)
-        for move, lo, hi, _ in _admissible_moves(current.order, inst.anchor_rank, moves):
-            ceiling = math.inf if chosen is None else chosen[1].objective
-            sched = memo.assemble(move.apply(current.order), arrival, lo, hi, ceiling)
+        for move, _, _, _ in _admissible_moves(current.order, inst.anchor_rank, moves):
+            order = move.apply(current.order)
+            if order not in seen:
+                arrival = propagate_times(order, zeros, inst)
+                if arrival is None:
+                    seen[order] = None
+                elif chosen is None or not objective_floor(order, arrival, inst.k_max, inst) > chosen[1].objective:
+                    seen[order] = meta.assemble_schedule(order, inst)
+            sched = seen.get(order)
             if sched is None:
                 continue
             is_tabu = move in tabu[move.kind]

@@ -45,6 +45,17 @@ class TestQuality:
         with pytest.raises(ValueError):
             quality(*args)
 
+    @pytest.mark.parametrize("args", [
+        (math.inf, 0.5, 1.0),   # used to give 0.0, outside (0, 1]
+        (1.0, -math.inf, 1.0),
+        (math.inf, math.inf, 1.0),
+        (1.0, 0.5, math.inf),
+        (-math.inf, -math.inf, math.inf),
+    ])
+    def test_infinite_rejected(self, args):
+        with pytest.raises(ValueError):
+            quality(*args)
+
     def test_oracle_backed_qualities_bounded(self):
         from evroute import oracle, tabu_search, TsParams
 
@@ -106,6 +117,11 @@ class TestSolverReport:
     def test_quality_cap_enforced(self):
         with pytest.raises(ValueError):
             SolverReport("ts", 0, 4, 1.0, 1.5, 1.0, "feasible")
+
+    @pytest.mark.parametrize("q", [0.0, -0.0, -0.5, -math.inf])
+    def test_quality_not_above_zero_rejected(self, q):
+        with pytest.raises(ValueError):
+            SolverReport("ts", 0, 4, 1.0, q, 1.0, "feasible")
 
     def test_negative_wall_time_rejected(self):
         with pytest.raises(ValueError):

@@ -35,7 +35,7 @@ from evroute.meta import PHEROMONE_FLOOR, _admissible_moves, _moves, _repair_con
 from evroute.schedule import _retime
 
 from conftest import SEED42_ORACLE_OBJECTIVE, two_node_instance
-from helpers import RecomputingMemo, respects_anchor_order
+from helpers import RecomputingMemo, reference_tabu_search, respects_anchor_order
 
 
 class _StubRng:
@@ -471,14 +471,14 @@ class TestRunMemo:
         assert outcomes[True, False] == outcomes[False, False] == 0
 
     def test_only_a_finite_ceiling_computes_a_floor(self, seed42, monkeypatch):
-        # ACO routes and ALNS repairs ask with an infinite ceiling, which
-        # every floor passes; tabu search's finite ceilings use them
+        # ACO routes and ALNS repairs are assembled unscreened; tabu search
+        # ranks its candidates by their floors
         floors = Counter()
         real_floor = meta.objective_floor
 
-        def counting_floor(order, arrival, inst):
+        def counting_floor(order, arrival, k_end, inst):
             floors[solver] += 1
-            return real_floor(order, arrival, inst)
+            return real_floor(order, arrival, k_end, inst)
 
         monkeypatch.setattr(meta, "objective_floor", counting_floor)
         for solver, solve in (
@@ -491,15 +491,14 @@ class TestRunMemo:
         assert floors["ts"] > 0
 
     def test_tabu_search_assembles_each_order_once(self, seed42, monkeypatch):
-        # an order whose re-timing without stops fails is priced right there,
-        # without an assembly; one whose objective floor lies above the
-        # iteration's best candidate so far is held, timed, for a later
-        # iteration, and never re-timed; one that holds a pair the follow
-        # table rejects never reaches the memo
+        # an order whose re-timing without stops fails is dropped right
+        # there, without an assembly; one whose objective floor lies above
+        # the iteration's best candidate so far stays timed, for a later
+        # iteration or another scan that meets it, and is never re-timed;
+        # one that holds a pair the follow table rejects is never timed
         assembled = Counter()
         failed_timing = Counter()
         timed = Counter()
-        screened = Counter()
         looked_up = Counter()
         real_assemble = meta.assemble_schedule
         real_retime = meta._retime
@@ -517,12 +516,8 @@ class TestRunMemo:
             return got
 
         def counting_lookup(memo, order, *timing):
-            key = tuple(order)
-            looked_up[key] += 1
-            got = real_lookup(memo, order, *timing)
-            if key in memo._screened:
-                screened[key] += 1
-            return got
+            looked_up[tuple(order)] += 1
+            return real_lookup(memo, order, *timing)
 
         monkeypatch.setattr(meta, "assemble_schedule", counting_assemble)
         monkeypatch.setattr(meta, "_retime", counting_retime)
@@ -534,7 +529,7 @@ class TestRunMemo:
         assert max(failed_timing.values()) == 1
         assert max(timed.values()) == 1
         assert not set(assembled) & set(failed_timing)
-        assert not set(screened) & set(failed_timing)
+        screened = set(timed) - set(failed_timing) - set(assembled)
         # the orders scanned: the one before each move, and the last one when
         # the search stopped early for want of a move
         order = bfd_initial(seed42).order
@@ -545,24 +540,43 @@ class TestRunMemo:
         if len(trace.events) < iterations:
             scanned.append(order)
         moves = _moves(len(order))
-        candidates = {
-            move.apply(o) for o in scanned for move, *_ in _admissible_moves(o, seed42.anchor_rank, moves)
-        }
+        neighbours = Counter(
+            c for o in set(scanned) for c in {move.apply(o) for move, *_ in _admissible_moves(o, seed42.anchor_rank, moves)}
+        )
+        candidates = set(neighbours)
         follows = seed42.follows
         rejected = {c for c in candidates if not all(follows[u][v] for u, v in zip(c, c[1:]))}
         zeros = [0] * seed42.n
         assert all(_retime(c, zeros, None, 0, len(c), seed42) is None for c in rejected)
-        assert not rejected & set(looked_up)
-        assert set(assembled) | set(failed_timing) | set(screened) | rejected == candidates
-        assert set(assembled) | set(failed_timing) | set(screened) == set(looked_up)
+        assert not rejected & set(timed)
+        assert set(assembled) | set(failed_timing) | screened | rejected == candidates
+        assert set(assembled) == set(looked_up)
         # the table and the floor screen fire: some orders are never timed,
-        # some never assembled, and held ones are looked up again
+        # some never assembled, and some that two scans meet are timed once
         assert rejected
-        assert set(screened) - set(assembled)
-        assert max(screened.values()) > 1
-        # the search revisits orders, so the memo saves assemblies
-        assert sum(looked_up.values()) > 2 * (len(assembled) + len(failed_timing))
+        assert screened
+        assert {c for c, k in neighbours.items() if k > 1} & set(timed)
+        # the search revisits orders, whose scans it keeps
+        assert len(set(scanned)) < len(scanned)
 
+    def test_best_first_assembles_fewer_orders_than_the_reference_loop(self, seed42, monkeypatch):
+        # the reference assembles in move order under a floor with a full
+        # battery at the end; the ranked scans stop sooner, with the same run
+        assembled = Counter()
+        real_assemble = meta.assemble_schedule
+
+        def counting_assemble(order, inst, **kw):
+            assembled[solver] += 1
+            return real_assemble(order, inst, **kw)
+
+        monkeypatch.setattr(meta, "assemble_schedule", counting_assemble)
+        runs = {}
+        for solver, solve in (("ts", tabu_search), ("reference", reference_tabu_search)):
+            trace = SearchTrace()
+            sched = solve(seed42, params=TsParams(iterations=200), trace=trace)
+            runs[solver] = repr((sched, trace.best, trace.events))
+        assert runs["ts"] == runs["reference"]
+        assert 0 < assembled["ts"] < assembled["reference"]
 
 
 class TestSharedStart:

@@ -6,6 +6,7 @@ the suite checks the same instances.
 
 import math
 import tempfile
+from itertools import compress, product
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -53,9 +54,10 @@ from evroute.meta import (
     _construct_route,
     _moves,
     _pass_weights,
+    _scan,
     _valid_positions,
 )
-from evroute.schedule import _range_pass, _retime, _time_step
+from evroute.schedule import _price, _range_pass, _retime, _time_step
 
 from helpers import (
     RecomputingMemo,
@@ -572,35 +574,127 @@ def test_assembly_with_handed_arrivals_equals_full_assembly(case):
             assert repr(got) == repr(assemble_schedule(moved, inst))
 
 
+def _assert_below(floor, objective):
+    """``floor`` bounds ``objective`` from below, or both are NaN."""
+    assert floor <= objective or (math.isnan(floor) and math.isnan(objective))
+
+
+def _assert_scan_floors_hold(inst, order):
+    """Each candidate of tabu search's ranked scan of ``order`` ranks no
+    higher than the objective it assembles to, nor than that of any other
+    charge set: all of them when the candidate has at most six chargers,
+    else every charger on.  NaN floors, ranked as ``-inf``, go exactly with
+    NaN objectives."""
+    for key, _, cand, _ in _scan(tuple(order), inst, _moves(len(order)), {}):
+        chargers = [u for u in cand.order if inst.gain_cap[u] is not None]
+        if len(chargers) > 6:
+            flag_sets = [chargers]
+        else:
+            flag_sets = [compress(chargers, on) for on in product((0, 1), repeat=len(chargers))]
+        schedules = [assemble_schedule(cand.order, inst)]
+        for on in flag_sets:
+            charge = [0] * inst.n
+            for u in on:
+                charge[u] = 1
+            schedules.append(_price(cand.order, charge, inst))
+        for sched in schedules:
+            if sched is not None:
+                assert (key == -math.inf) == math.isnan(sched.objective)
+                assert math.isnan(sched.objective) or key <= sched.objective
+
+
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_objective_floor_never_exceeds_the_assembled_objective(data):
-    # on the instance as generated, without the epsilon terms, without the
-    # end-charge weight, and with a charger at the start node, which the
-    # generator never places there
-    days = data.draw(st.integers(1, 3))
-    seed = data.draw(st.integers(0, 2**31 - 1))
-    events = data.draw(st.integers(days, 10))
-    try:
-        inst = generate(GenConfig(seed=seed, event_count=events, max_days=days))
-    except GenerationFailedError:
-        reject()
-    option = ChargingOption(data.draw(st.floats(0.0, 30.0)), 1.0, data.draw(st.floats(1.0, inst.k_max)))
-    variants = [
-        inst,
-        replace(inst, epsilon=0.0),
-        replace(inst, weights=replace(inst.weights, wc=0.0)),
-        replace(inst, nodes=(replace(inst.nodes[0], charging=option), *inst.nodes[1:])),
-    ]
-    for _ in range(8):
-        order = data.draw(orders(inst, keep_anchor_order=True))
+    # on a 1-3-day instance as generated, without the epsilon terms,
+    # without the end-charge weight, and with a charger at the start node,
+    # which the generator never places there; on a multi-day instance; and
+    # on a whole-number tie instance (headroom equal to a charger's gain,
+    # gains of -0.0, sometimes a NaN distance).  The floor with a full
+    # battery at the end is the exact search's; tabu search's ranked scans
+    # cap it by each candidate's chain with every charger on.
+    source = data.draw(st.sampled_from(["small", "multiday", "ties"]))
+    if source == "ties":
+        inst, order, _ = data.draw(tie_cases())
+        variants, drawn = [inst], [order]
+    else:
+        if source == "small":
+            days = data.draw(st.integers(1, 3))
+            seed = data.draw(st.integers(0, 2**31 - 1))
+            events = data.draw(st.integers(days, 10))
+            try:
+                inst = generate(GenConfig(seed=seed, event_count=events, max_days=days))
+            except GenerationFailedError:
+                reject()
+        else:
+            inst = data.draw(multiday_instances())
+        option = ChargingOption(data.draw(st.floats(0.0, 30.0)), 1.0, data.draw(st.floats(1.0, inst.k_max)))
+        variants = [
+            inst,
+            replace(inst, epsilon=0.0),
+            replace(inst, weights=replace(inst.weights, wc=0.0)),
+            replace(inst, nodes=(replace(inst.nodes[0], charging=option), *inst.nodes[1:])),
+        ]
+        drawn = [data.draw(orders(inst, keep_anchor_order=True)) for _ in range(8 if source == "small" else 2)]
+    for order in drawn:
         for v in variants:
             arrival = propagate_times(order, [0] * v.n, v)
             if arrival is None:
                 continue
             sched = assemble_schedule(order, v)
             if sched is not None:
-                assert objective_floor(order, arrival, v) <= sched.objective
+                _assert_below(objective_floor(order, arrival, v.k_max, v), sched.objective)
+    # a scan of an order tabu search could stand on: the BFD start
+    for v in variants:
+        if source == "ties":
+            order = drawn[0]  # every order of a tie instance keeps its windows
+        else:
+            try:
+                order = bfd_initial(v).order
+            except NoInitialSolutionError:
+                continue
+        _assert_scan_floors_hold(v, order)
+
+
+def test_the_end_range_cap_allows_for_rounding():
+    # With every charger on, the chain reaches node 1 a little higher than
+    # with node 1's charger alone, both just below zero; topping up to
+    # k_max = 8 from there rounds to 8 - 2**-50 in the first chain and to 8
+    # in the second, so the stop set {1} ends higher than every charger
+    # on.  Only the end range is priced, so without the rounding allowance
+    # the candidate's floor would lie above its objective.
+    nodes = (
+        EventNode(0, NodeKind.START, 0.0, 1000.0, 0.0, charging=ChargingOption(0.0, 1.0, 1e-7)),
+        EventNode(1, NodeKind.FLEXIBLE, 0.0, 1000.0, 0.0, charging=ChargingOption(0.0, 1.0, 100.0)),
+        EventNode(2, NodeKind.FLEXIBLE, 0.0, 1000.0, 0.0),
+        EventNode(3, NodeKind.END, 0.0, 1000.0, 0.0),
+    )
+    dist = np.ones((4, 4))
+    np.fill_diagonal(dist, 0.0)
+    dist[0, 1], dist[1, 2], dist[2, 3] = 0.5000002, 0.5, 0.5
+    inst = Instance(nodes, dist, dist, 0.0, 8.0, 0.5, weights=Weights(0.0, 0.0, 1.0), epsilon=0.0)
+    sched = assemble_schedule((0, 1, 2, 3), inst)
+    assert sched.charge == (0, 1, 0, 0) and sched.ranges[3] == 7.0
+    assert _range_pass((0, 1, 2, 3), [1] * 4, inst)[1][3] < 7.0
+    _assert_scan_floors_hold(inst, (0, 2, 1, 3))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(range_cases(), tie_cases()))
+def test_resuming_the_range_pass_over_a_moved_span_equals_the_full_pass(case):
+    # each tabu move's candidate, resumed from the order's own pass over the
+    # move's span, with every charger on (the scan's end-range cap) and
+    # under the drawn flags; an edge of the order sometimes has a NaN
+    # distance, which a move may take off the route or keep
+    inst, order, charge = case
+    for flags in ([1] * inst.n, charge):
+        ref = _range_pass(order, flags, inst)
+        # repr compares every float bit for bit, the sign of zero and NaN included
+        assert repr(ref) == repr(_reference_range_pass(order, flags, inst))
+        for move, lo, hi, _ in _moves(len(order)):
+            moved = move.apply(order)
+            want = repr(_range_pass(moved, flags, inst))
+            assert repr(_range_pass(moved, flags, inst, ref, lo - 1, hi)) == want, move
 
 
 @settings(PROPERTY_SETTINGS, max_examples=20)
@@ -627,11 +721,24 @@ def test_tabu_search_equals_full_pricing(data):
 @settings(PROPERTY_SETTINGS, max_examples=25)
 @given(st.data())
 def test_tabu_search_equals_the_reference_loop(data):
-    # the search scans each order it stands on once and skips the moves the
-    # follow table rejects; handing every move of every iteration to the
-    # memo must give the same run, with and without aspiration and tabu lists
+    # the search scans each order it stands on once, skips the moves the
+    # follow table rejects and assembles best first; timing every move of
+    # every iteration and assembling in move order must give the same run,
+    # with and without aspiration and tabu lists
     small = data.draw(st.booleans())
     inst = data.draw(instances(max_nodes=12) if small else multiday_instances())
+    nan_matrix = data.draw(st.sampled_from([None, None, "dist", "travel"]))
+    if nan_matrix is not None:
+        # a NaN edge of the BFD order, which the search keeps or moves off:
+        # candidates that use it have NaN floors and objectives, ranked first
+        try:
+            order = bfd_initial(inst).order
+        except NoInitialSolutionError:
+            reject()
+        k = data.draw(st.integers(0, len(order) - 2))
+        matrix = getattr(inst, nan_matrix).copy()
+        matrix[order[k], order[k + 1]] = math.nan
+        inst = replace(inst, **{nan_matrix: matrix})
     lengths = st.one_of(st.none(), st.integers(0, 3))
     params = TsParams(
         tabu_len_swap=data.draw(lengths),
@@ -639,16 +746,29 @@ def test_tabu_search_equals_the_reference_loop(data):
         iterations=data.draw(st.integers(1, 60 if small else 3)),
         aspiration=data.draw(st.booleans()),
     )
+    assert _tabu_run(tabu_search, inst, params) == _tabu_run(reference_tabu_search, inst, params)
 
-    def run(solve):
-        trace = SearchTrace()
-        try:
-            sched = solve(inst, params=params, trace=trace)
-        except NoInitialSolutionError:
-            reject()
-        return repr((sched, trace.best, trace.events))
 
-    assert run(tabu_search) == run(reference_tabu_search)
+def _tabu_run(solve, inst, params):
+    """The result of ``solve`` on ``inst`` with its trace, by ``repr``."""
+    trace = SearchTrace()
+    try:
+        sched = solve(inst, params=params, trace=trace)
+    except NoInitialSolutionError:
+        reject()
+    return repr((sched, trace.best, trace.events))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(tie_cases(), st.data())
+def test_tabu_search_breaks_ties_as_the_reference_loop(case, data):
+    # whole-number instances whose battery never runs short: many candidates
+    # share an objective, and without end-charge weight a candidate's floor
+    # is its objective, so the best-first walk meets floors equal to its
+    # best so far; it must still take the first in move order among equals
+    inst = replace(case[0], k_min=0.0, k_max=100.0, k_start=100.0)
+    params = TsParams(iterations=data.draw(st.integers(1, 30)), aspiration=data.draw(st.booleans()))
+    assert _tabu_run(tabu_search, inst, params) == _tabu_run(reference_tabu_search, inst, params)
 
 
 @PROPERTY_SETTINGS
@@ -798,7 +918,7 @@ def test_ant_construction_equals_the_full_scan(data):
         assert order == want
         # as aco hands it over: the memo times the step into the end node
         last = len(order) - 1
-        got = memo.assemble(order, arrival, last, last + 1, math.inf)
+        got = memo.assemble(order, arrival, last, last + 1)
         assert repr(got) == repr(assemble_schedule(order, inst))
 
 
