@@ -2,7 +2,8 @@
 
 Runs the selected solvers over seeded instance ensembles, scores solution
 quality against the exact optimum (or the best known value when the exact
-solver times out) and writes per-run and aggregate CSV reports.
+solver times out) and writes per-run and aggregate CSV reports.  The
+dispatcher runs the exact search on small instances, tabu search on the rest.
 """
 
 from __future__ import annotations
@@ -17,20 +18,11 @@ from .core import Instance, Weights, objective_lower_bound, validate
 from .errors import EvrouteError, NoInitialSolutionError, NoSolutionFoundError
 from .exact import BnBConfig, SolveStatus, solve_exact
 from .gen import GenConfig, generate
-from .meta import (
-    AcoParams,
-    AlnsParams,
-    SearchTrace,
-    TsParams,
-    aco,
-    alns,
-    tabu_search,
-)
+from .meta import SearchTrace, aco, alns, tabu_search
 from .schedule import bfd_initial
 
 SOLVER_IDS = ("exact", "ts", "alns", "aco", "hybrid")
 EXACT_SIZE_LIMIT = 15   # events; below this the exact solver answers
-TS_SIZE_LIMIT = 45      # events; below this tabu search answers
 
 
 @dataclass(frozen=True)
@@ -38,7 +30,8 @@ class BenchConfig:
     """Ensemble benchmark settings.
 
     ``sizes`` are exact event counts; every (size, seed) pair becomes one
-    generated instance and one CSV row per attempted solver.
+    generated instance and one CSV row per attempted solver.  A repeated
+    seed, size or solver is rejected: the means would count it twice.
     ``per_run_time_limit`` reaches only the exact search: the ``exact``
     solver and ``hybrid``'s exact branch.  Tabu search, ALNS and ACO run
     all their iterations (ROADMAP item 5 gives them a deadline).
@@ -58,6 +51,10 @@ class BenchConfig:
         for s in self.solvers:
             if s not in SOLVER_IDS:
                 raise ValueError(f"unknown solver id {s!r}")
+        for name in ("seeds", "sizes", "solvers"):
+            entries = getattr(self, name)
+            if len(set(entries)) != len(entries):
+                raise ValueError(f"{name} repeat an entry: {entries!r}")
 
 
 @dataclass(frozen=True)
@@ -109,38 +106,30 @@ def hybrid_dispatch(
     budget: float = 15.0,
     rng_seed: int = 0,
     trace: SearchTrace | None = None,
-    ts_params: TsParams | None = None,
-    alns_params: AlnsParams | None = None,
-    aco_params: AcoParams | None = None,
 ):
     """Pick a solver by instance size alone.
 
     Below ``EXACT_SIZE_LIMIT`` events the exact search answers within
-    ``budget`` seconds, below ``TS_SIZE_LIMIT`` tabu search answers, and
-    from there on ant colony optimization, with the adaptive large
-    neighborhood search answering only when no ant finds a route.
-    ``budget`` reaches the exact search only.  The trace gets one
-    ``dispatch`` event per solver started.
+    ``budget`` seconds; from there on tabu search answers, and ant colony
+    optimization only when tabu search finds no start (the solvers'
+    measured quality: ROADMAP item 10).  ``budget`` reaches the exact
+    search only.  The trace gets one ``dispatch`` event per solver started.
     """
-    n_events = inst.event_count
 
     def note(solver, **extra):
         if trace is not None:
             trace.record("dispatch", solver=solver, **extra)
 
-    if n_events < EXACT_SIZE_LIMIT:
+    if inst.event_count < EXACT_SIZE_LIMIT:
         res = solve_exact(inst, BnBConfig(time_limit=budget))
         note("exact", status=res.status.value)
         return res.schedule
-    if n_events < TS_SIZE_LIMIT:
-        note("ts")
-        return tabu_search(inst, ts_params, rng_seed, trace)
-    note("aco")
+    note("ts")
     try:
-        return aco(inst, aco_params, rng_seed, trace)
-    except NoSolutionFoundError:
-        note("alns")
-        return alns(inst, alns_params, rng_seed, trace)
+        return tabu_search(inst, rng_seed=rng_seed, trace=trace)
+    except NoInitialSolutionError:
+        note("aco")
+        return aco(inst, rng_seed=rng_seed, trace=trace)
 
 
 def run_solver(solver: str, inst: Instance, limit: float, rng_seed: int):

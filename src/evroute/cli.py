@@ -68,21 +68,27 @@ def _parse_seed(text: str) -> int:
     return x
 
 
+def _distinct(entries: tuple, text: str) -> tuple:
+    if len(set(entries)) != len(entries):
+        raise argparse.ArgumentTypeError(f"expected no repeated entry, got {text!r}")
+    return entries
+
+
 def _parse_sizes(text: str) -> tuple[int, ...]:
-    return tuple(_parse_count(x) for x in text.split(","))
+    return _distinct(tuple(_parse_count(x) for x in text.split(",")), text)
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     if "," not in text:
         return tuple(range(_parse_count(text)))
-    return tuple(_parse_seed(x) for x in text.split(","))
+    return _distinct(tuple(_parse_seed(x) for x in text.split(",")), text)
 
 
 def _parse_solvers(text: str) -> tuple[str, ...]:
     solvers = tuple(text.split(","))
     if not set(solvers) <= set(SOLVER_IDS):
         raise argparse.ArgumentTypeError(f"expected solvers out of {','.join(SOLVER_IDS)}, got {text!r}")
-    return solvers
+    return _distinct(solvers, text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -367,10 +367,7 @@ def linearize(inst: Instance) -> LinearModel:
     m_range = inst.k_max + float(inst.dist.max())
     walk = inst.walk
     day_ref = inst.day_ref
-
-    def gain_cap(u):
-        c = nodes[u].charging
-        return 0.0 if c is None else c.max_gain
+    gain_cap = [0.0 if g is None else g for g in inst.gain_cap]
 
     variables: list[tuple[str, str, float | None, float | None]] = []
     for u in range(n):
@@ -458,7 +455,7 @@ def linearize(inst: Instance) -> LinearModel:
     for u in range(n):
         add(f"reserve_{u}", {f"k_{u}": 1.0}, ">=", inst.k_min)
     for u in range(n - 1):
-        add(f"gain_cap_{u}", {f"ct_{u}": 1.0, f"r_{u}": -gain_cap(u)}, "<=", 0.0)
+        add(f"gain_cap_{u}", {f"ct_{u}": 1.0, f"r_{u}": -gain_cap[u]}, "<=", 0.0)
         add(f"capacity_{u}", {f"k_{u}": 1.0, f"ct_{u}": 1.0}, "<=", inst.k_max)
     for u in range(n):
         for v in range(n):

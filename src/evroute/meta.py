@@ -15,6 +15,7 @@ from array import array
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, compress
 from typing import Callable, NamedTuple, Sequence
 
@@ -245,11 +246,13 @@ class _RunMemo:
         return sched
 
 
-def _moves(n: int) -> list[tuple[Move, int, int, tuple[tuple[int, int], ...]]]:
+@cache
+def _moves(n: int) -> tuple[tuple[Move, int, int, tuple[tuple[int, int], ...]], ...]:
     """Every swap and insert on interior positions, each with the span of
     positions it reorders, ``lo`` to ``hi - 1``, and the position pairs
     ``(a, b)`` of the order it applies to whose nodes it makes adjacent,
-    ``b``'s node right after ``a``'s: three or four per move."""
+    ``b``'s node right after ``a``'s: three or four per move.  Built once
+    per order length and shared by every call."""
     out = []
     for i in range(1, n - 1):
         for j in range(i + 1, n - 1):
@@ -264,7 +267,7 @@ def _moves(n: int) -> list[tuple[Move, int, int, tuple[tuple[int, int], ...]]]:
                 out.append((Move("insert", i, j), i, j + 1, ((i - 1, i + 1), (j, i), (i, j + 1))))
             elif i > j:
                 out.append((Move("insert", i, j), j, i + 1, ((j - 1, i), (i, j), (i - 1, i + 1))))
-    return out
+    return tuple(out)
 
 
 def _admissible_moves(order: Sequence[int], rank: dict[int, int], moves: Sequence[tuple]) -> list[tuple]:

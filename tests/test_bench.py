@@ -4,22 +4,22 @@ import math
 import pytest
 
 from evroute import (
-    AcoParams,
-    AlnsParams,
     BenchConfig,
     GenConfig,
     SearchTrace,
     SolverReport,
+    aco,
     generate,
     hybrid_dispatch,
     quality,
     quality_shift,
     run_benchmark,
+    tabu_search,
     validate,
 )
 from evroute import bench
 from evroute.core import ConstraintId, Violation
-from evroute.errors import EvrouteError
+from evroute.errors import EvrouteError, NoInitialSolutionError
 
 from conftest import no_start_instance
 
@@ -79,37 +79,30 @@ class TestHybridDispatch:
     def test_medium_goes_tabu(self):
         inst = generate(GenConfig(seed=1, event_count=30, max_days=3))
         trace = SearchTrace()
-        from evroute import TsParams
-
-        sched = hybrid_dispatch(inst, budget=15.0, trace=trace, ts_params=TsParams(iterations=5))
+        sched = hybrid_dispatch(inst, budget=15.0, trace=trace)
         assert sched is not None
         assert [e for e in trace.events if e["kind"] == "dispatch"][-1]["solver"] == "ts"
 
-    def test_large_goes_aco_whatever_the_budget(self):
-        inst = generate(GenConfig(seed=0, event_count=80, max_days=8))
-        trace = SearchTrace()
-        sched = hybrid_dispatch(
-            inst,
-            budget=1e-6,
-            trace=trace,
-            alns_params=AlnsParams(iterations=3, repair_set=("constructive",)),
-            aco_params=AcoParams(iterations=2, ants=2),
-        )
-        assert [e["solver"] for e in trace.events if e["kind"] == "dispatch"] == ["aco"]
+    def test_large_goes_tabu_whatever_the_budget(self):
+        inst = generate(GenConfig(seed=1, event_count=45))
+        expected = repr(tabu_search(inst, rng_seed=0))
+        for budget in (1e-6, 15.0):
+            trace = SearchTrace()
+            sched = hybrid_dispatch(inst, budget=budget, trace=trace)
+            assert [e["solver"] for e in trace.events if e["kind"] == "dispatch"] == ["ts"]
+            assert repr(sched) == expected
         assert validate(sched, inst) == []
 
-    def test_large_falls_back_to_alns_when_no_ant_finds_a_route(self):
-        # one colony pass of ten ants finds no route on this instance
-        inst = generate(GenConfig(seed=1, event_count=45))
+    def test_falls_back_to_aco_when_tabu_search_finds_no_start(self, monkeypatch):
+        def no_start(inst, **kw):
+            raise NoInitialSolutionError("no start")
+
+        inst = generate(GenConfig(seed=1, event_count=16, max_days=2))
+        monkeypatch.setattr(bench, "tabu_search", no_start)
         trace = SearchTrace()
-        sched = hybrid_dispatch(
-            inst,
-            rng_seed=0,
-            trace=trace,
-            alns_params=AlnsParams(iterations=3, repair_set=("constructive",)),
-            aco_params=AcoParams(iterations=1),
-        )
-        assert [e["solver"] for e in trace.events if e["kind"] == "dispatch"] == ["aco", "alns"]
+        sched = hybrid_dispatch(inst, rng_seed=3, trace=trace)
+        assert [e["solver"] for e in trace.events if e["kind"] == "dispatch"] == ["ts", "aco"]
+        assert repr(sched) == repr(aco(inst, rng_seed=3))
         assert validate(sched, inst) == []
 
 
@@ -198,3 +191,12 @@ class TestRunBenchmark:
     def test_time_limit_must_be_positive(self, limit):
         with pytest.raises(ValueError, match="per_run_time_limit"):
             BenchConfig(out_dir="x", per_run_time_limit=limit)
+
+    @pytest.mark.parametrize("field, entries", [
+        ("seeds", (0, 1, 0)), ("sizes", (4, 4)), ("solvers", ("ts", "ts")),
+    ])
+    def test_repeated_entry_rejected(self, field, entries):
+        # a repeated entry would run the same (size, seed, solver) twice and
+        # count it twice in the aggregate means
+        with pytest.raises(ValueError, match=f"{field} repeat an entry"):
+            BenchConfig(out_dir="x", **{field: entries})

@@ -74,6 +74,8 @@ def test_time_limit_must_be_positive(instance_path, tmp_path, limit, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--solvers", "foo"), ("--solvers", "exact,"), ("--seeds", "0"), ("--seeds", "-2"), ("--seeds", "1,-1"),
     ("--sizes", "-3"), ("--sizes", "0"), ("--sizes", "4,0"), ("--sizes", ","),
+    # a repeated entry would run the same pair twice and count it twice
+    ("--solvers", "ts,ts"), ("--solvers", "exact,ts,exact"), ("--seeds", "0,1,0"), ("--sizes", "4,4"),
 ])
 def test_bad_bench_arguments_are_usage_errors(tmp_path, flag, value, capsys):
     out = tmp_path / "bench"

@@ -414,7 +414,7 @@ class TestSearchTrace:
             lambda t: alns(seed42, params=AlnsParams(iterations=30), rng_seed=1, trace=t),
             lambda t: aco(seed42, params=AcoParams(iterations=5), rng_seed=1, trace=t),
             lambda t: hybrid_dispatch(seed42, trace=t),
-            lambda t: hybrid_dispatch(inst, trace=t, ts_params=TsParams(iterations=3)),
+            lambda t: hybrid_dispatch(inst, trace=t),
         ]
         for run in runs:
             trace = SearchTrace()
