@@ -386,6 +386,13 @@ def linearize(inst: Instance) -> LinearModel:
     def add(name, coeffs, sense, rhs):
         rows.append(LinearRow(name, coeffs, sense, rhs))
 
+    def walked(u, sign):
+        """``a_u`` plus ``sign`` times the walk on ``r_u``."""
+        coeffs = {f"a_{u}": 1.0}
+        if u != n - 1 and walk[u]:
+            coeffs[f"r_{u}"] = sign * walk[u]
+        return coeffs
+
     for u in range(n):
         add(
             f"flow_out_{u}",
@@ -405,33 +412,21 @@ def linearize(inst: Instance) -> LinearModel:
 
     for u in range(n):
         node = nodes[u]
-        has_r = u != n - 1
         if node.kind is NodeKind.FIXED:
-            coeffs = {f"a_{u}": 1.0}
-            if has_r and walk[u]:
-                coeffs[f"r_{u}"] = walk[u]
-            add(f"pinned_arrival_{u}", coeffs, "=", node.fixed_arrival)
+            add(f"pinned_arrival_{u}", walked(u, 1), "=", node.fixed_arrival)
         if u in day_ref:
             # Day boundaries measure their lower bound against the previous
             # day reference and add the walk instead of subtracting it.
             ref = day_ref[u]
-            coeffs = {f"a_{u}": 1.0}
-            if has_r and walk[u]:
-                coeffs[f"r_{u}"] = -walk[u]
+            coeffs = walked(u, -1)
             if ref is None:
                 coeffs["a_0"] = coeffs.get("a_0", 0.0) - 1.0
                 add(f"window_lo_{u}", coeffs, ">=", 0.0)
             else:
                 add(f"window_lo_{u}", coeffs, ">=", ref)
         else:
-            coeffs = {f"a_{u}": 1.0}
-            if has_r and walk[u]:
-                coeffs[f"r_{u}"] = walk[u]
-            add(f"window_lo_{u}", coeffs, ">=", node.a_min)
-        coeffs = {f"a_{u}": 1.0}
-        if has_r and walk[u]:
-            coeffs[f"r_{u}"] = walk[u]
-        add(f"window_hi_{u}", coeffs, "<=", node.a_max - node.duration)
+            add(f"window_lo_{u}", walked(u, 1), ">=", node.a_min)
+        add(f"window_hi_{u}", walked(u, 1), "<=", node.a_max - node.duration)
 
     for u in range(n):
         for v in range(n):

@@ -50,8 +50,9 @@ _MAX_DAY_DRAWS = 100
 class GenConfig:
     """Knobs for the synthetic instance generator.
 
-    ``event_count`` pins the exact number of events when set; otherwise the
-    count is drawn up to ``max_events`` subject to the per-day capacity.
+    ``event_count`` pins the exact number of events when set, at most
+    ``MAX_EVENTS_PER_DAY`` for each of ``max_days``; otherwise the count is
+    drawn up to ``max_events`` subject to the per-day capacity.
     ``noise`` is the multiplicative jitter range applied independently per
     direction, so distance matrices come out asymmetric.
     """
@@ -91,6 +92,9 @@ class GenConfig:
             raise ValueError("noise range must satisfy 1 <= lo <= hi < inf")
         if self.event_count is not None and self.event_count < 1:
             raise ValueError("event_count must be at least 1 when given")
+        if self.event_count is not None and self.event_count > self.max_days * MAX_EVENTS_PER_DAY:
+            raise ValueError(f"event_count {self.event_count} exceeds the capacity of {self.max_days} days"
+                             f" at {MAX_EVENTS_PER_DAY} events a day")
 
 
 @dataclass(frozen=True)
@@ -230,10 +234,6 @@ def _draw_instance(rng, cfg: GenConfig) -> Instance:
     if cfg.event_count is not None:
         n_events = cfg.event_count
         days = max(days, math.ceil(n_events / MAX_EVENTS_PER_DAY))
-        if days > cfg.max_days:
-            raise GenerationFailedError(
-                f"{n_events} events exceed the capacity of {cfg.max_days} days"
-            )
     else:
         cap = min(cfg.max_events, days * MAX_EVENTS_PER_DAY)
         n_events = int(rng.integers(1, cap + 1))

@@ -199,16 +199,16 @@ _UNSEEN = object()
 
 
 class _RunMemo:
-    """One solver call's memory of evaluated solutions.
+    """One ALNS or ACO call's memory of evaluated solutions.
 
     Maps each visit order to its assembled schedule (None when infeasible)
     and each deterministic ALNS repair, keyed by ``(operator, base,
-    removed)``, to its result.  Tabu search cycles, ants retrace routes and
-    random repairs redraw orders, so a revisit then costs one lookup instead
-    of a timing and an assembly (Woodruff and Zemel, "Hashing vectors for
-    tabu search", 1993).  Each solver call makes its own and drops it on
-    return, so no state outlives the call.  The best-fit-decreasing start
-    the solvers seed from is not held here: it lives on the instance
+    removed)``, to its result.  Ants retrace routes and random repairs
+    redraw orders, so a revisit then costs one lookup instead of a timing
+    and an assembly (Woodruff and Zemel, "Hashing vectors for tabu search",
+    1993); tabu search keeps one :class:`_Candidate` per order instead.
+    Each solver call makes its own and drops it on return.  The
+    best-fit-decreasing start the solvers seed from lives on the instance
     (:attr:`~evroute.core.Instance.bfd_start`), since it depends on the
     instance alone.
     """
@@ -290,11 +290,11 @@ def _admissible_moves(order: Sequence[int], rank: dict[int, int], moves: Sequenc
 
 class _Candidate:
     """An order tabu search has timed without stops, shared by every scan
-    that meets it.  ``key`` ranks it: its objective floor until it is
-    assembled, its objective after, ``-inf`` for a NaN one, so that it comes
-    first, and ``inf`` once it has failed to assemble.  ``arrival`` holds its
-    arrivals without stops until it is assembled, ``sched`` its schedule
-    after."""
+    that meets it and assembled at most once.  ``key`` ranks it: its
+    objective floor until it is assembled, its objective after, ``-inf`` for
+    a NaN one, so that it comes first, and ``inf`` once it has failed to
+    assemble.  ``arrival`` holds its arrivals without stops until it is
+    assembled, ``sched`` its schedule after."""
 
     __slots__ = ("key", "order", "arrival", "sched")
 
@@ -304,9 +304,11 @@ class _Candidate:
         self.arrival: Sequence[float] | None = arrival
         self.sched: Schedule | None = None
 
-    def settle(self, sched: Schedule | None) -> None:
-        """Keep the candidate's assembly: its schedule, or None."""
-        self.arrival, self.sched = None, sched
+    def assemble(self, inst: Instance) -> None:
+        """Assemble the candidate from its own arrivals, keep its schedule or
+        None, and rank it by its objective from then on."""
+        sched = self.sched = assemble_schedule(self.order, inst, arrival=self.arrival)
+        self.arrival = None
         obj = math.inf if sched is None else sched.objective
         self.key = obj if obj == obj else -math.inf
 
@@ -377,9 +379,10 @@ def tabu_search(
     candidates and ranks them by objective floor.  An iteration assembles
     them best first and stops at the first floor strictly above its best
     candidate so far; it assembles a tabu move only if aspiration could
-    admit it (Glover and Laguna, *Tabu Search*, 1997, candidate lists).  An
-    assembled candidate ranks by its objective from then on, in every scan
-    that holds it.  None of this changes the search.  A walk in move order
+    admit it (Glover and Laguna, *Tabu Search*, 1997, candidate lists).
+    Every scan holding an order shares its one :class:`_Candidate`, which
+    assembles the first time a walk reaches it and then ranks by its
+    objective.  None of this changes the search.  A walk in move order
     keeps its first feasible candidate when that one's objective is NaN;
     NaN floors go exactly with NaN objectives, so they rank first, and once
     one is admitted the iteration assembles every candidate to learn which
@@ -400,9 +403,7 @@ def tabu_search(
         "swap": deque(maxlen=len_swap),
         "insert": deque(maxlen=len_insert),
     }
-    assemble = _RunMemo(inst).assemble
-    size = len(current.order)
-    moves = _moves(size)
+    moves = _moves(len(current.order))
     met: dict[tuple[int, ...], _Candidate | None] = {}
     # the ranked scan of each order the search has stood on; it cycles
     # through few of them
@@ -430,8 +431,7 @@ def tabu_search(
             if is_tabu and not (p.aspiration and key < best.objective):
                 continue
             if cand.arrival is not None:
-                # the candidate's own arrivals: nothing to re-time
-                cand.settle(assemble(cand.order, cand.arrival, size, size))
+                cand.assemble(inst)
             sched = cand.sched
             if sched is None:
                 continue

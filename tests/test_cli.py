@@ -180,6 +180,14 @@ def test_gen_rejects_a_bad_config_before_writing(tmp_path, capsys):
     assert "event_count" in capsys.readouterr().err
 
 
+def test_gen_rejects_more_events_than_the_days_hold_before_writing(tmp_path, capsys):
+    # two days hold 24 events
+    out = tmp_path / "d"
+    assert main(["gen", "--seed", "1", "--events", "30", "--max-days", "2", "--out", str(out / "x.json")]) == 2
+    assert not out.exists()
+    assert "event_count 30" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("area", ["nan", "inf"])
 def test_gen_rejects_a_non_finite_area_before_writing(tmp_path, capsys, area):
     out = tmp_path / "batch"

@@ -14,11 +14,7 @@ from evroute import (
     preselect_station,
     save,
 )
-from evroute.errors import (
-    GenerationFailedError,
-    InstanceFormatError,
-    UnsupportedVersionError,
-)
+from evroute.errors import InstanceFormatError, UnsupportedVersionError
 from evroute.gen import MAX_EVENTS_PER_DAY
 
 
@@ -70,8 +66,8 @@ class TestGenerate:
             GenConfig(seed=0, **{field: value})
 
     def test_too_dense_request_fails_loudly(self):
-        with pytest.raises(GenerationFailedError):
-            generate(GenConfig(seed=0, max_days=1, event_count=MAX_EVENTS_PER_DAY + 1))
+        with pytest.raises(ValueError, match="event_count"):
+            GenConfig(seed=0, max_days=1, event_count=MAX_EVENTS_PER_DAY + 1)
 
     def test_fixed_windows_totally_ordered(self):
         for seed in range(20):

@@ -243,7 +243,11 @@ def multiday_instances(draw):
     seed = draw(st.integers(0, 2**31 - 1))
     events = draw(st.integers(20, 30))
     try:
-        return generate(GenConfig(seed=seed, event_count=events, max_days=draw(st.integers(2, 3))))
+        cfg = GenConfig(seed=seed, event_count=events, max_days=draw(st.integers(2, 3)))
+    except ValueError:  # more events than two days hold
+        reject()
+    try:
+        return generate(cfg)
     except GenerationFailedError:
         reject()
 
@@ -700,8 +704,9 @@ def test_resuming_the_range_pass_over_a_moved_span_equals_the_full_pass(case):
 @settings(PROPERTY_SETTINGS, max_examples=20)
 @given(st.data())
 def test_tabu_search_equals_full_pricing(data):
-    # the search re-times each candidate from the current order's arrivals;
-    # pricing every candidate in full must give the same run
+    # the search re-times each candidate from the current order's arrivals
+    # and assembles it from those; pricing every candidate in full must give
+    # the same run
     inst = data.draw(st.one_of(instances(max_nodes=12), multiday_instances()))
     iterations = data.draw(st.integers(1, 4))
 
@@ -713,8 +718,11 @@ def test_tabu_search_equals_full_pricing(data):
             reject()
         return repr((sched, trace.best, trace.events))
 
+    def assemble_in_full(order, inst, *, arrival=None):
+        return assemble_schedule(order, inst)
+
     remembered = run()
-    with mock.patch.object(meta, "_RunMemo", RecomputingMemo):
+    with mock.patch.object(meta, "assemble_schedule", assemble_in_full):
         assert run() == remembered
 
 
